@@ -581,23 +581,6 @@ storage::ScanPredicate CollectColdScanPredicate(
   return predicate;
 }
 
-StatusOr<TPRelation> FinishRowStagesOverTable(
-    std::string name, Table table,
-    const std::vector<PhysicalNode*>& stages, size_t first,
-    LineageManager* manager, const ProbEvalOptions& prob_base) {
-  if (first == stages.size())
-    return TPRelation::FromTable(std::move(name), table, manager);
-  OperatorPtr op = std::make_unique<TableScan>(&table);
-  for (size_t i = first; i < stages.size(); ++i) {
-    StatusOr<OperatorPtr> next =
-        LowerPipelineStage(*stages[i], std::move(op), manager, prob_base);
-    if (!next.ok()) return next.status();
-    op = std::move(*next);
-  }
-  const Table out = Materialize(op.get());
-  return TPRelation::FromTable(std::move(name), out, manager);
-}
-
 ChainExec CollectExecChain(PhysicalNode* top) {
   std::vector<PhysicalNode*> top_down;
   PhysicalNode* exchange = nullptr;

@@ -155,14 +155,6 @@ storage::ScanPredicate CollectColdScanPredicate(
     const std::vector<PhysicalNode*>& stages, LineageManager* manager,
     const storage::SegmentedTable* table);
 
-/// Runs the row-path stages [first, stages.size()) over `table` and
-/// converts the result back to a relation — the tail of a batch pipeline
-/// whose prefix was merged by the parallel driver.
-StatusOr<TPRelation> FinishRowStagesOverTable(
-    std::string name, Table table,
-    const std::vector<PhysicalNode*>& stages, size_t first,
-    LineageManager* manager, const ProbEvalOptions& prob_base = {});
-
 /// One pipelined chain as the executors see it: bottom-up stages, the
 /// exchange marker (when the mode pass inserted one) with the number of
 /// stages it covers, the leading batch-mode stage count, and the source.

@@ -7,10 +7,20 @@
 //   2. PushdownPass           — move predicate filters and probability
 //      thresholds down through sorts and projections (rewriting column
 //      names through aliases), order cheap predicate filters before
-//      expensive probability thresholds, and harvest the conjunctive
-//      bounds of the leading filter run into the PhysScan's ScanPredicate
-//      (the zone maps prune on it; the probability dimension is
-//      epoch-gated).
+//      expensive probability thresholds, move the conjuncts of a predicate
+//      filter on a PhysTPJoin into the join's input(s), and harvest the
+//      conjunctive bounds of the leading filter run into the PhysScan's
+//      ScanPredicate (the zone maps prune on it; the probability dimension
+//      is epoch-gated). A TP join builds each window from one driving
+//      tuple and its θ-matches, so a conjunct over left facts moves into
+//      the left input for INNER / LEFT / ANTI / SEMI, one over right facts
+//      (through the `_s` renames) into the right input for INNER / RIGHT,
+//      and a moved conjunct over join_on columns only is mirrored onto
+//      the other input. Never across a join: FULL JOIN, the NULL-padded
+//      side of an outer join, probability thresholds (the join rewrites
+//      the lineage), `_ts` / `_te` / `_lin` (windows are not input
+//      intervals), conjuncts over both sides, PhysAlign, and anything
+//      above a PhysLimit.
 //   3. PruneProjectionsPass   — collapse stacked projections into one and
 //      drop identity projections.
 //   4. SelectModesPass        — the cost model: estimate per-node

@@ -67,6 +67,20 @@ NodeStats* ReportNode(ExecStats* stats, PhysicalNode* node, std::string label,
   return slot;
 }
 
+/// An exchange whose region ran serially — its input came in under
+/// min_parallel_rows at run time — still passed the region's rows through:
+/// it reports the region's actuals, so every executed node of the tree
+/// carries actuals in Explain and in the trace.
+void ReportSerialExchanges(PhysicalNode* node, ExecStats* stats) {
+  for (const PhysicalNodePtr& child : node->children)
+    ReportSerialExchanges(child.get(), stats);
+  if (node->op != PhysOp::kExchange || node->actual != nullptr) return;
+  const NodeStats* region = node->children[0]->actual;
+  if (region == nullptr) return;
+  ReportNode(stats, node, node->Label() + " (ran serially)", region->rows,
+             region->seconds);
+}
+
 TPSetOpKind MapSetOpKind(SetOpKind kind) {
   switch (kind) {
     case SetOpKind::kUnion: return TPSetOpKind::kUnion;
@@ -104,6 +118,23 @@ StatusOr<OperatorPtr> LowerRowTail(OperatorPtr op,
     }
   }
   return op;
+}
+
+/// Runs the instrumented row-path stages [first, stages.size()) over
+/// `table` — the serial tail of a chain whose prefix the parallel driver
+/// merged.
+StatusOr<TPRelation> FinishRowTailOverTable(
+    std::string name, Table table, const std::vector<PhysicalNode*>& stages,
+    size_t first, LineageManager* manager, ExecStats* stats,
+    const ProbEvalOptions& prob_base) {
+  if (first == stages.size())
+    return TPRelation::FromTable(std::move(name), table, manager);
+  StatusOr<OperatorPtr> tail =
+      LowerRowTail(std::make_unique<TableScan>(&table), stages, first,
+                   manager, stats, prob_base);
+  if (!tail.ok()) return tail.status();
+  const Table out = Materialize(tail->get());
+  return TPRelation::FromTable(std::move(name), out, manager);
 }
 
 /// The serial tail of a batch chain: materialize directly when every
@@ -193,6 +224,7 @@ StatusOr<TPRelation> Planner::Execute(const LogicalPlan& plan,
   if (stats != nullptr) {
     for (const WorkerStats& w : ctx.CollectWorkerStats())
       stats->AddWorker(w);
+    ReportSerialExchanges(physical->root.get(), stats);
     stats->set_physical_plan(physical->ToString());
     // Mirror the executed tree into the trace AFTER set_physical_plan:
     // both read the same NodeStats slots, so the span payloads and the
@@ -397,9 +429,9 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
           ReportNode(stats, chain.exchange, chain.exchange->Label(),
                      merged->rows.size(), SecondsSince(start));
         }
-        StatusOr<TPRelation> result = FinishRowStagesOverTable(
+        StatusOr<TPRelation> result = FinishRowTailOverTable(
             source->rel->name(), std::move(*merged), chain.stages, lowered,
-            manager, prob_base);
+            manager, stats, prob_base);
         if (!result.ok()) return result.status();
         return EvalResult{std::move(*result), nullptr};
       }
@@ -506,8 +538,8 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
           ReportNode(stats, chain.exchange, chain.exchange->Label(),
                      merged->rows.size(), SecondsSince(start));
         }
-        StatusOr<TPRelation> result = FinishRowStagesOverTable(
-            name, std::move(*merged), chain.stages, lowered, manager,
+        StatusOr<TPRelation> result = FinishRowTailOverTable(
+            name, std::move(*merged), chain.stages, lowered, manager, stats,
             prob_base);
         if (!result.ok()) return result.status();
         return EvalResult{std::move(*result), nullptr};

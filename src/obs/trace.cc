@@ -97,17 +97,18 @@ std::string TraceContext::ToTreeString() const {
 
 void AddPlanSpans(const PhysicalNode& node, uint64_t parent,
                   uint64_t base_start_us, TraceContext* trace) {
-  TraceSpan span;
-  span.parent = parent;
-  span.name = PhysOpName(node.op);
-  span.detail = node.Label();
-  span.start_us = base_start_us;
-  span.plan_node = true;
+  uint64_t id = parent;
   if (node.actual != nullptr) {
+    TraceSpan span;
+    span.parent = parent;
+    span.name = PhysOpName(node.op);
+    span.detail = node.Label();
+    span.start_us = base_start_us;
+    span.plan_node = true;
     span.dur_us = static_cast<uint64_t>(node.actual->seconds * 1e6);
     span.rows = node.actual->rows;
+    id = trace->AddSpan(std::move(span));
   }
-  const uint64_t id = trace->AddSpan(std::move(span));
   for (const PhysicalNodePtr& child : node.children)
     AddPlanSpans(*child, id, base_start_us, trace);
 }

@@ -79,10 +79,14 @@ class TraceContext {
 };
 
 /// Mirrors a physical tree into plan-node spans under `parent`: one span
-/// per node, pre-order, named by the node's op and carrying its NodeStats
-/// actual rows/time as the payload. `base_start_us` anchors the synthetic
-/// span times (NodeStats records durations, not start times; children
-/// share their parent's start so the tree nests in the tracing UI).
+/// per node that reported actuals, pre-order, named by the node's op and
+/// carrying its NodeStats actual rows/time as the payload — exactly the
+/// nodes Explain renders with "(actual ...)". A node without actuals (a
+/// stage that ran per-morsel inside a parallel region) gets no span; its
+/// children hang under the nearest ancestor that has one.
+/// `base_start_us` anchors the synthetic span times (NodeStats records
+/// durations, not start times; children share their parent's start so
+/// the tree nests in the tracing UI).
 void AddPlanSpans(const PhysicalNode& node, uint64_t parent,
                   uint64_t base_start_us, TraceContext* trace);
 

@@ -16,12 +16,13 @@
 #include "api/planner.h"
 #include "common/random.h"
 #include "exec/session.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::TestTempDir() + "/" + name;
 }
 
 /// Position of `needle` in `text`; -1 when absent.

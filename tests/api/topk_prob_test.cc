@@ -13,12 +13,13 @@
 #include "api/database.h"
 #include "common/random.h"
 #include "exec/session.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::TestTempDir() + "/" + name;
 }
 
 bool Contains(const std::string& text, const std::string& needle) {

@@ -4,12 +4,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::TestTempDir() + "/" + name;
 }
 
 Schema BookingSchema() {

@@ -21,12 +21,13 @@
 #include "engine/vector/batch_ops.h"
 #include "exec/session.h"
 #include "lineage/probability.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::TestTempDir() + "/" + name;
 }
 
 SessionOptions RowOptions() {

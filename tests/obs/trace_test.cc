@@ -92,40 +92,75 @@ TEST(TraceContextTest, ChromeJsonEscapesAndEmbedsPlan) {
 }
 
 TEST_F(TraceTest, PlanSpansMatchExplainTreeNodeForNode) {
-  Session session(&db_);
   const std::vector<std::string> queries = {
       "SELECT * FROM r WHERE key < 40",
-      "SELECT * FROM r INNER JOIN s ON key WHERE key < 60 ORDER BY key",
+      // `_ts` reads the join's window intervals, so the filter stays above
+      // the join and the mode pass puts an Exchange over it.
+      "SELECT * FROM r INNER JOIN s ON key WHERE _ts < 600 ORDER BY key",
       "r UNION s",
   };
-  for (const std::string& sql : queries) {
-    StatusOr<Session::TraceResult> traced = session.Trace(sql, 9);
-    ASSERT_TRUE(traced.ok()) << sql << ": " << traced.status().ToString();
-    const std::vector<uint64_t> expected =
-        ActualRowsInPlanText(traced->physical_plan);
-    ASSERT_FALSE(expected.empty()) << traced->physical_plan;
-    const std::vector<const TraceSpan*> plan_spans = traced->trace.PlanSpans();
-    ASSERT_EQ(plan_spans.size(), expected.size())
-        << sql << "\n" << traced->physical_plan;
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(plan_spans[i]->rows, expected[i]) << sql << " node " << i;
-      // Each plan span's detail is the node's Label(), which the Explain
-      // rendering prints verbatim on the matching line.
-      EXPECT_NE(traced->physical_plan.find(plan_spans[i]->detail),
-                std::string::npos)
-          << plan_spans[i]->detail;
+  // Serial; an Exchange whose region falls back to serial at run time
+  // (the join emits fewer rows than the estimate); an Exchange whose
+  // region runs on the morsel drivers.
+  struct Config {
+    int parallelism;
+    size_t min_parallel_rows;
+    size_t morsel_size;
+  };
+  for (const Config& config :
+       {Config{1, 512, 1024}, Config{4, 512, 1024}, Config{4, 16, 32}}) {
+    SessionOptions options;
+    options.parallelism = config.parallelism;
+    options.min_parallel_rows = config.min_parallel_rows;
+    options.morsel_size = config.morsel_size;
+    Session session(&db_, options);
+    for (const std::string& sql : queries) {
+      SCOPED_TRACE(sql + " parallelism=" + std::to_string(config.parallelism) +
+                   " min_parallel_rows=" +
+                   std::to_string(config.min_parallel_rows));
+      StatusOr<Session::TraceResult> traced = session.Trace(sql, 9);
+      ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+      const std::vector<uint64_t> expected =
+          ActualRowsInPlanText(traced->physical_plan);
+      ASSERT_FALSE(expected.empty()) << traced->physical_plan;
+      const std::vector<const TraceSpan*> plan_spans =
+          traced->trace.PlanSpans();
+      ASSERT_EQ(plan_spans.size(), expected.size()) << traced->physical_plan;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(plan_spans[i]->rows, expected[i]) << "node " << i;
+        // Each plan span's detail is the node's Label(), which the Explain
+        // rendering prints verbatim on the matching line.
+        EXPECT_NE(traced->physical_plan.find(plan_spans[i]->detail),
+                  std::string::npos)
+            << plan_spans[i]->detail;
+      }
+      // Every Exchange reports actuals, whether its region ran on the
+      // morsel drivers or fell back to serial.
+      const std::string& plan = traced->physical_plan;
+      for (size_t at = plan.find("Exchange["); at != std::string::npos;
+           at = plan.find("Exchange[", at + 1)) {
+        const std::string line = plan.substr(at, plan.find('\n', at) - at);
+        EXPECT_NE(line.find("(actual "), std::string::npos) << plan;
+      }
+      // The phase skeleton is present and the plan spans hang under execute.
+      const std::vector<TraceSpan>& spans = traced->trace.spans();
+      ASSERT_GE(spans.size(), 4u);
+      EXPECT_EQ(spans[0].name, "query");
+      EXPECT_EQ(spans[1].name, "parse");
+      uint64_t execute_id = 0;
+      for (const TraceSpan& span : spans)
+        if (span.name == "execute") execute_id = span.id;
+      ASSERT_NE(execute_id, 0u);
+      EXPECT_EQ(plan_spans.front()->parent, execute_id);
     }
-    // The phase skeleton is present and the plan spans hang under execute.
-    const std::vector<TraceSpan>& spans = traced->trace.spans();
-    ASSERT_GE(spans.size(), 4u);
-    EXPECT_EQ(spans[0].name, "query");
-    EXPECT_EQ(spans[1].name, "parse");
-    uint64_t execute_id = 0;
-    for (const TraceSpan& span : spans)
-      if (span.name == "execute") execute_id = span.id;
-    ASSERT_NE(execute_id, 0u);
-    EXPECT_EQ(plan_spans.front()->parent, execute_id);
   }
+  // The join query's plan keeps its Exchange at parallelism 4.
+  SessionOptions parallel;
+  parallel.parallelism = 4;
+  StatusOr<std::string> explain = Session(&db_, parallel).Explain(queries[1]);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("Exchange[4 workers]"), std::string::npos)
+      << *explain;
 }
 
 TEST_F(TraceTest, TraceRowsMatchUntracedQuery) {

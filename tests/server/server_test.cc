@@ -20,6 +20,7 @@
 #include "exec/session.h"
 #include "lineage/probability.h"
 #include "server/client.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb::server {
 namespace {
@@ -199,7 +200,7 @@ TEST_F(ServerEndToEndTest, SnapshotStatementsWorkOverTheWire) {
   StatusOr<std::unique_ptr<Client>> client = Connect();
   ASSERT_TRUE(client.ok());
   const std::string path =
-      ::testing::TempDir() + "/tpdb_wire_snapshot.tpdb";
+      testing::TestTempDir() + "/tpdb_wire_snapshot.tpdb";
   StatusOr<ClientResult> save =
       (*client)->Query("SAVE SNAPSHOT '" + path + "'");
   ASSERT_TRUE(save.ok()) << save.status().ToString();
@@ -247,7 +248,7 @@ TEST_F(ServerEndToEndTest, EightConcurrentClientsMixingQueriesAndDdl) {
     ASSERT_TRUE(local.ok()) << local.status().ToString();
     expected.push_back(CanonicalizeLocal(*local));
   }
-  const std::string snapshot_dir = ::testing::TempDir();
+  const std::string snapshot_dir = testing::TestTempDir();
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -399,7 +400,7 @@ TEST_F(ServerEndToEndTest, StatsCountTheTraffic) {
 }
 
 TEST_F(ServerEndToEndTest, AppendOverTheWireHitsTheWal) {
-  const std::string wal_path = ::testing::TempDir() + "/wire_append.wal";
+  const std::string wal_path = testing::TestTempDir() + "/wire_append.wal";
   std::remove(wal_path.c_str());
   ASSERT_TRUE(db_.EnableWal(wal_path).ok());
   ASSERT_TRUE(db_.CreateRelation(

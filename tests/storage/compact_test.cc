@@ -21,12 +21,13 @@
 
 #include "api/database.h"
 #include "lineage/probability.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = testing::TestTempDir() + "/" + name;
   std::remove(path.c_str());
   return path;
 }
@@ -171,6 +172,9 @@ TEST(CompactTest, QueriesRunningDuringCompactionSeeIdenticalResults) {
       }
     });
   }
+  // Readers must be running before the folds start; on one core the
+  // compactions could otherwise finish before any reader is scheduled.
+  while (rounds.load() < 4) std::this_thread::yield();
   // Alternate compactions with fresh appends so each compaction has
   // deltas to fold. Appends extend the baseline, so re-query it after.
   int64_t next = 600 + 8 * 50;

@@ -8,12 +8,13 @@
 
 #include "api/database.h"
 #include "storage/snapshot.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::TestTempDir() + "/" + name;
 }
 
 std::string ReadFile(const std::string& path) {

@@ -15,12 +15,13 @@
 #include "common/random.h"
 #include "storage/snapshot.h"
 #include "tests/reference/fixtures.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::TestTempDir() + "/" + name;
 }
 
 /// The sorted variable names mentioned by a lineage formula — comparable

@@ -13,12 +13,13 @@
 #include <vector>
 
 #include "api/database.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = testing::TestTempDir() + "/" + name;
   std::remove(path.c_str());
   return path;
 }
@@ -256,12 +257,12 @@ TEST(WalTest, OpenTruncatesTheTornTailAndKeepsAppending) {
 
 TEST(WalTest, WalPathThatIsADirectoryIsAStatusNotACrash) {
   TPDatabase db;
-  const Status status = db.EnableWal(::testing::TempDir());
+  const Status status = db.EnableWal(testing::TestTempDir());
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("not a regular file"), std::string::npos)
       << status.ToString();
   EXPECT_FALSE(db.wal_enabled());
-  EXPECT_FALSE(storage::ReadWal(::testing::TempDir()).ok());
+  EXPECT_FALSE(storage::ReadWal(testing::TestTempDir()).ok());
 }
 
 TEST(WalTest, DoubleEnableAndWalWriterAccountingAreSane) {

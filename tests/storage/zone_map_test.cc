@@ -12,6 +12,7 @@
 #include "engine/materialize.h"
 #include "storage/scan.h"
 #include "storage/snapshot.h"
+#include "tests/reference/temp_dir.h"
 
 namespace tpdb {
 namespace {
@@ -20,7 +21,7 @@ constexpr int64_t kTuples = 320;
 constexpr size_t kSegmentRows = 64;  // 5 segments of 64 rows
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::TestTempDir() + "/" + name;
 }
 
 /// 320 tuples: tuple i has key i%4, val i (double), interval [2i, 2i+1)
