@@ -18,6 +18,10 @@
 //   - An aggregate whose child chain is fully vectorizable over a catalog
 //     scan runs batch-at-a-time (PhysAggregate mode=batch), with the same
 //     exchange treatment below it.
+//   - TP joins and set operations cost one fixed unit per input row. Their
+//     overlap algorithm is not a plan decision: it depends on the key
+//     histogram of the actual inputs, so the join picks it when it runs
+//     (ChooseOverlapAlgorithm in tp/overlap_join.h).
 //
 // Cost units are abstract per-row work, calibrated coarsely from
 // bench_vector_exec (batch stages ≈ 3x cheaper than row stages; cold chunk
@@ -48,8 +52,6 @@ constexpr double kBatchPipelineOverhead = 96.0;  // setup + adapters
 constexpr double kRowAggUnit = 2.0;
 constexpr double kBatchAggUnit = 0.6;
 constexpr double kJoinUnit = 6.0;
-constexpr double kSweepUnit = 2.5;     // sweep: one pass, no partition rescans
-constexpr double kSweepSortUnit = 0.4; // × n log2 n when inputs need sorting
 constexpr double kSetOpUnit = 4.0;
 constexpr double kSortUnit = 0.4;  // × n log2 n
 
@@ -402,42 +404,10 @@ Status Annotate(PhysicalNodePtr& node, const ModeContext& c) {
       const double lr = node->children[0]->est.rows;
       const double rr = node->children[1]->est.rows;
       const double n = lr + rr;
-      double unit = kJoinUnit;
-      if (node->op == PhysOp::kTPJoin) {
-        node->join_algorithm = c.options->overlap_algorithm;
-        node->time_slices = 1;
-        if (node->join_algorithm == OverlapAlgorithm::kAuto) {
-          // Cost the sweep against the partitioned probe. Catalog inputs
-          // that are already _ts-ordered let the sweep skip its sort; a
-          // θ with no equi-keys would hand the probe one degenerate
-          // partition, so it always goes to the sweep.
-          const auto sorted_input = [](const PhysicalNode& child) {
-            return IsCatalogSource(child) && child.rel->sorted_by_ts();
-          };
-          const bool sorted_inputs = sorted_input(*node->children[0]) &&
-                                     sorted_input(*node->children[1]);
-          const double sweep_cost =
-              n * kSweepUnit +
-              (sorted_inputs || n < 2.0 ? 0.0
-                                        : kSweepSortUnit * n * std::log2(n));
-          node->join_algorithm =
-              node->join_on.empty() || sweep_cost < n * kJoinUnit
-                  ? OverlapAlgorithm::kSweep
-                  : OverlapAlgorithm::kPartitioned;
-        }
-        if (node->join_algorithm == OverlapAlgorithm::kSweep) {
-          unit = kSweepUnit;
-          // Slice count: one per worker, unless the input is too small to
-          // amortize the per-slice setup (the executor re-checks).
-          if (c.parallelism > 1 &&
-              n >= static_cast<double>(c.options->min_parallel_rows))
-            node->time_slices = c.parallelism;
-        }
-      }
       // Window-count heuristic: a lineage-aware join emits O(r + s +
       // overlaps) windows; without overlap statistics, r + s.
       node->est = {n, node->children[0]->est.cost +
-                          node->children[1]->est.cost + n * unit};
+                          node->children[1]->est.cost + n * kJoinUnit};
       return Status::OK();
     }
     case PhysOp::kTPSetOp: {

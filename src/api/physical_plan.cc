@@ -90,11 +90,11 @@ std::string PhysicalNode::Label() const {
       std::string label = std::string("Join[") + TPJoinKindName(join_kind) +
                           ", on " + tpdb::Join(terms, ",");
       if (op == PhysOp::kAlign) label += ", TA";
+      // Only a join that ran off the paper's plan is labelled.
       if (op == PhysOp::kTPJoin &&
-          join_algorithm != OverlapAlgorithm::kPartitioned) {
+          join_algorithm != OverlapAlgorithm::kPartitioned &&
+          join_algorithm != OverlapAlgorithm::kAuto)
         label += std::string(", alg=") + OverlapAlgorithmName(join_algorithm);
-        if (time_slices > 1) label += " x" + std::to_string(time_slices);
-      }
       return label + "]";
     }
     case PhysOp::kTPSetOp:

@@ -113,11 +113,10 @@ struct PhysicalNode {
   // kTPJoin / kAlign
   TPJoinKind join_kind = TPJoinKind::kInner;
   std::vector<std::pair<std::string, std::string>> join_on;
-  /// Chosen overlap algorithm (mode-selection pass resolves kAuto from
-  /// zone-map statistics and the sortedness of the inputs) and — for the
-  /// time-partitioned sweep — the slice count (1 = no partitioning).
-  OverlapAlgorithm join_algorithm = OverlapAlgorithm::kPartitioned;
-  int time_slices = 1;
+  /// Overlap algorithm of the join. kAuto until the join runs; the
+  /// executor then resolves it on the actual inputs
+  /// (ChooseOverlapAlgorithm), so an executed plan names what ran.
+  OverlapAlgorithm join_algorithm = OverlapAlgorithm::kAuto;
 
   // kTPSetOp
   SetOpKind set_op = SetOpKind::kUnion;

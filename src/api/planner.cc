@@ -299,7 +299,6 @@ StatusOr<Planner::EvalResult> Planner::ExecJoin(PhysicalNode* node,
   if (!right.ok()) return right.status();
 
   const Clock::time_point start = Clock::now();
-  TimePartitionReport partition_report;
   StatusOr<TPRelation> result = [&]() -> StatusOr<TPRelation> {
     if (node->op == PhysOp::kAlign) {
       // The temporal-alignment strategy, constructed from the PhysAlign
@@ -314,33 +313,18 @@ StatusOr<Planner::EvalResult> Planner::ExecJoin(PhysicalNode* node,
     spec.kind = node->join_kind;
     spec.theta.equal_columns = node->join_on;
     spec.options.strategy = JoinStrategy::kLineageAware;
-    // The mode-selection pass resolved kAuto and chose the slice count
-    // from zone-map statistics — run what the node says, not the raw knob.
+    // Resolve kAuto here, on the actual inputs, so the node (and Explain)
+    // names the algorithm that runs; the join then takes it as forced.
+    node->join_algorithm = ChooseOverlapAlgorithm(
+        node->join_algorithm, left->rel(), right->rel(), spec.theta);
     spec.options.overlap_algorithm = node->join_algorithm;
-    spec.options.time_slices = node->time_slices;
     spec.options.validate_inputs = options_.validate_inputs;
     return ctx_ != nullptr
-               ? ParallelTPJoin(ctx_, spec, left->rel(), right->rel(),
-                                &partition_report)
+               ? ParallelTPJoin(ctx_, spec, left->rel(), right->rel())
                : TPJoin(spec, left->rel(), right->rel());
   }();
   if (!result.ok()) return result.status();
   ReportNode(stats, node, node->Label(), result->size(), SecondsSince(start));
-  // Per-slice breakdown of a time-partitioned sweep: rows and active-set
-  // high-water mark per slice, rendered under the join node.
-  if (stats != nullptr) {
-    for (const TimeSliceStats& slice : partition_report.per_slice) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "  sweep slice [%lld, %lld) active_max=%llu",
-                    static_cast<long long>(slice.lo),
-                    static_cast<long long>(slice.hi),
-                    static_cast<unsigned long long>(slice.active_max));
-      NodeStats* slot = stats->AddNode(buf);
-      slot->rows = slice.windows;
-      slot->open_calls = 1;
-    }
-  }
   return EvalResult{std::move(*result), nullptr};
 }
 

@@ -38,8 +38,6 @@ struct ChainExec;
 
 /// Physical knobs shared by every node of one execution.
 struct PlannerOptions {
-  /// Physical algorithm for the NJ overlap join.
-  OverlapAlgorithm overlap_algorithm = OverlapAlgorithm::kPartitioned;
   /// Validate the duplicate-free-in-time invariant of join inputs.
   bool validate_inputs = true;
   /// Name given to the result relation of the plan root ("" = derived).

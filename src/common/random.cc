@@ -37,7 +37,10 @@ uint64_t Random::Next() {
 
 int64_t Random::Uniform(int64_t lo, int64_t hi) {
   TPDB_CHECK_LE(lo, hi);
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic throughout: hi - lo overflows int64_t for ranges
+  // wider than 2^63 (e.g. [-2^62 - 1, 2^62 + 1]), and wraps correctly here.
+  const uint64_t range =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   if (range == 0) return static_cast<int64_t>(Next());  // full 64-bit range
   // Rejection sampling to avoid modulo bias.
   const uint64_t limit = UINT64_MAX - UINT64_MAX % range;
@@ -45,7 +48,7 @@ int64_t Random::Uniform(int64_t lo, int64_t hi) {
   do {
     v = Next();
   } while (v >= limit);
-  return lo + static_cast<int64_t>(v % range);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + v % range);
 }
 
 double Random::NextDouble() {

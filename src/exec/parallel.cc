@@ -36,8 +36,7 @@ Status MergeSlots(PartialSlots* slots, TPRelation* result) {
 StatusOr<TPRelation> ParallelTPJoin(ExecContext* ctx, TPJoinKind kind,
                                     const TPRelation& r, const TPRelation& s,
                                     const JoinCondition& theta,
-                                    const TPJoinOptions& options,
-                                    TimePartitionReport* report) {
+                                    const TPJoinOptions& options) {
   TPDB_CHECK(ctx != nullptr);
   const JoinPipelines pipelines = LineageAwareJoinPipelines(kind);
   const size_t driving_rows =
@@ -47,10 +46,13 @@ StatusOr<TPRelation> ParallelTPJoin(ExecContext* ctx, TPJoinKind kind,
       !ctx->ShouldParallelize(driving_rows))
     return TPJoin(kind, r, s, theta, options);
 
-  // The sweep algorithm parallelizes along the time axis, not the driving
-  // input: disjoint time slices, one sweep each (exec/time_partition.h).
-  if (options.overlap_algorithm == OverlapAlgorithm::kSweep)
-    return TimePartitionedTPJoin(ctx, kind, r, s, theta, options, report);
+  // One choice for the whole join; every morsel runs the same plan.
+  TPJoinOptions resolved = options;
+  resolved.overlap_algorithm =
+      ChooseOverlapAlgorithm(options.overlap_algorithm, r, s, theta);
+  const OverlapAlgorithm algorithm = resolved.overlap_algorithm;
+  if (algorithm == OverlapAlgorithm::kSweep)
+    return TPJoin(kind, r, s, theta, resolved);
 
   if (r.manager() != s.manager())
     return Status::InvalidArgument(
@@ -82,13 +84,6 @@ StatusOr<TPRelation> ParallelTPJoin(ExecContext* ctx, TPJoinKind kind,
       pipelines.s_driven
           ? MakeMorsels(s.size(), ctx->options().morsel_size, max_morsels)
           : std::vector<Morsel>{};
-
-  // kAuto's cost model would pick per morsel; pin the partitioned plan
-  // (the one whose build is shareable — and the paper's NJ choice).
-  const OverlapAlgorithm algorithm =
-      options.overlap_algorithm == OverlapAlgorithm::kAuto
-          ? OverlapAlgorithm::kPartitioned
-          : options.overlap_algorithm;
 
   OverlapProbeSide s_probe;  // probe side of the r-driven pipeline
   if (pipelines.r_driven) {
@@ -156,22 +151,30 @@ StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx, TPSetOpKind kind,
   if (result_name.empty())
     result_name = r.name() + "_" + TPSetOpKindName(kind) + "_" + s.name();
 
+  StatusOr<JoinCondition> theta = SetOpCondition(r, s);
+  if (!theta.ok()) return theta.status();
+  const OverlapAlgorithm algorithm =
+      ChooseOverlapAlgorithm(OverlapAlgorithm::kAuto, r, s, *theta);
+
+  const bool s_driven = SetOpHasSDrivenPipeline(kind);
+  if (algorithm == OverlapAlgorithm::kSweep) {
+    // The serial plan: a hot fact chain would serialize one partition.
+    TPRelation result(std::move(result_name), r.fact_schema(), r.manager());
+    TPDB_RETURN_IF_ERROR(RunSetOpPipeline(kind, /*s_driven=*/false, r, s,
+                                          algorithm, &result));
+    if (s_driven) {
+      TPDB_RETURN_IF_ERROR(RunSetOpPipeline(kind, /*s_driven=*/true, r, s,
+                                            algorithm, &result));
+    }
+    return result;
+  }
+
   // Deterministic for a given parallelism level: partition count depends
   // only on the knob, and tuples are routed by fact hash.
   const size_t parts = static_cast<size_t>(ctx->parallelism()) * 2;
   const std::vector<TPRelation> r_parts = HashPartitionRelation(r, parts);
   const std::vector<TPRelation> s_parts = HashPartitionRelation(s, parts);
 
-  // Fact hashing degenerates under heavy fact skew (one hot fact chain
-  // lands in one partition and serializes the run); time partitioning
-  // splits a hot chain across slices instead.
-  size_t largest = 0;
-  for (size_t i = 0; i < parts; ++i)
-    largest = std::max(largest, r_parts[i].size() + s_parts[i].size());
-  if (largest * 2 > r.size() + s.size())
-    return TimePartitionedTPSetOp(ctx, kind, r, s, std::move(result_name));
-
-  const bool s_driven = SetOpHasSDrivenPipeline(kind);
   PartialSlots r_slots(parts);
   PartialSlots s_slots(s_driven ? parts : 0);
 
@@ -181,8 +184,9 @@ StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx, TPSetOpKind kind,
       const Clock::time_point start = Clock::now();
       auto partial = std::make_unique<TPRelation>(
           result_name, r.fact_schema(), r.manager());
-      TPDB_RETURN_IF_ERROR(RunSetOpPipeline(
-          kind, /*s_driven=*/false, r_parts[i], s_parts[i], partial.get()));
+      TPDB_RETURN_IF_ERROR(RunSetOpPipeline(kind, /*s_driven=*/false,
+                                            r_parts[i], s_parts[i], algorithm,
+                                            partial.get()));
       ctx->RecordTask(partial->size(), SecondsSince(start));
       r_slots[i] = std::move(partial);
       return Status::OK();
@@ -192,8 +196,9 @@ StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx, TPSetOpKind kind,
         const Clock::time_point start = Clock::now();
         auto partial = std::make_unique<TPRelation>(
             result_name, r.fact_schema(), r.manager());
-        TPDB_RETURN_IF_ERROR(RunSetOpPipeline(
-            kind, /*s_driven=*/true, r_parts[i], s_parts[i], partial.get()));
+        TPDB_RETURN_IF_ERROR(RunSetOpPipeline(kind, /*s_driven=*/true,
+                                              r_parts[i], s_parts[i],
+                                              algorithm, partial.get()));
         ctx->RecordTask(partial->size(), SecondsSince(start));
         s_slots[i] = std::move(partial);
         return Status::OK();
@@ -287,10 +292,8 @@ StatusOr<Table> ParallelBatchPipeline(ExecContext* ctx, size_t num_morsels,
 }
 
 StatusOr<TPRelation> ParallelTPJoin(ExecContext* ctx, const TPJoinSpec& spec,
-                                    const TPRelation& r, const TPRelation& s,
-                                    TimePartitionReport* report) {
-  return ParallelTPJoin(ctx, spec.kind, r, s, spec.theta, spec.options,
-                        report);
+                                    const TPRelation& r, const TPRelation& s) {
+  return ParallelTPJoin(ctx, spec.kind, r, s, spec.theta, spec.options);
 }
 
 StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx,

@@ -12,6 +12,10 @@
 //     independent pipeline pairs per partition. Contents match the serial
 //     operator element-wise; tuple order is the deterministic partition
 //     order instead of the serial emit order.
+//
+// Both resolve kAuto once for the whole operator (ChooseOverlapAlgorithm).
+// A hot key that picks the sweep also puts most rows in one morsel's key
+// group or one fact partition, so on the sweep they run the serial plan.
 //   - ParallelPipeline   — splits a materialized table into morsels, runs
 //     a caller-built row-local operator chain (filter / project /
 //     probability threshold) over each morsel, and merges the outputs in
@@ -28,27 +32,24 @@
 
 #include "engine/vector/batch_operator.h"
 #include "exec/exec_context.h"
-#include "exec/time_partition.h"
 #include "tp/operators.h"
 #include "tp/set_ops.h"
 
 namespace tpdb {
 
 /// Parallel TPJoin. Falls back to the serial TPJoin for the temporal-
-/// alignment strategy and for inputs below the context's parallel
-/// threshold. Results are element-wise AND order-identical to TPJoin.
-/// With overlap_algorithm == kSweep the join runs time-partitioned
-/// (exec/time_partition.h) and, when `report` is non-null, fills it with
-/// per-slice rows and active-set high-water marks for Explain.
+/// alignment strategy, for inputs below the context's parallel threshold
+/// and for the sweep. Results are element-wise AND order-identical to
+/// TPJoin.
 StatusOr<TPRelation> ParallelTPJoin(ExecContext* ctx, TPJoinKind kind,
                                     const TPRelation& r, const TPRelation& s,
                                     const JoinCondition& theta,
-                                    const TPJoinOptions& options = {},
-                                    TimePartitionReport* report = nullptr);
+                                    const TPJoinOptions& options = {});
 
 /// Parallel set operation. Falls back to the serial TPSetOp below the
-/// parallel threshold. Results are element-wise identical to TPSetOp;
-/// tuple order is the (deterministic) hash-partition order.
+/// parallel threshold and runs the serial plan on the sweep. Results are
+/// element-wise identical to TPSetOp; tuple order is the (deterministic)
+/// hash-partition order, or the serial order on the sweep.
 StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx, TPSetOpKind kind,
                                      const TPRelation& r, const TPRelation& s,
                                      std::string result_name = "");
@@ -56,8 +57,7 @@ StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx, TPSetOpKind kind,
 /// Spec forms — the physical-plan executors construct the spec from a
 /// PhysTPJoin / PhysTPSetOp node and dispatch here when a context is live.
 StatusOr<TPRelation> ParallelTPJoin(ExecContext* ctx, const TPJoinSpec& spec,
-                                    const TPRelation& r, const TPRelation& s,
-                                    TimePartitionReport* report = nullptr);
+                                    const TPRelation& r, const TPRelation& s);
 StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx,
                                      const TPSetOpSpec& spec,
                                      const TPRelation& r,

@@ -24,7 +24,8 @@ Status RawDecompress(std::span<const uint8_t> payload, size_t count,
     return Status::IOError("raw block corrupt: payload holds " +
                            std::to_string(payload.size()) + " bytes, need " +
                            std::to_string(count * sizeof(int64_t)));
-  std::memcpy(out, payload.data(), payload.size());
+  // An empty block may hand over null pointers, which memcpy must not see.
+  if (count > 0) std::memcpy(out, payload.data(), payload.size());
   return Status::OK();
 }
 

@@ -133,16 +133,16 @@ StatusOr<TPRelation> LineageAwareJoin(TPJoinKind kind, const TPRelation& r,
   TPRelation result(std::move(name),
                     TPJoinOutputSchema(kind, r.fact_schema(), s.fact_schema()),
                     r.manager());
+  const OverlapAlgorithm algorithm =
+      ChooseOverlapAlgorithm(options.overlap_algorithm, r, s, theta);
   const JoinPipelines pipelines = LineageAwareJoinPipelines(kind);
   if (pipelines.r_driven) {
     TPDB_RETURN_IF_ERROR(RunLineageAwareJoinPipeline(
-        kind, /*s_driven=*/false, r, s, theta, options.overlap_algorithm,
-        &result));
+        kind, /*s_driven=*/false, r, s, theta, algorithm, &result));
   }
   if (pipelines.s_driven) {
     TPDB_RETURN_IF_ERROR(RunLineageAwareJoinPipeline(
-        kind, /*s_driven=*/true, r, s, theta, options.overlap_algorithm,
-        &result));
+        kind, /*s_driven=*/true, r, s, theta, algorithm, &result));
   }
   return result;
 }
@@ -186,14 +186,6 @@ Status RunLineageAwareJoinPipeline(TPJoinKind kind, bool s_driven,
   if (!plan.ok()) return plan.status();
   return EmitWindows(plan->root.get(), plan->layout, manager,
                      MakeEmitSpec(kind, /*s_driven=*/true), result);
-}
-
-Status EmitJoinWindows(TPJoinKind kind, bool s_driven, Operator* windows,
-                       const WindowLayout& layout, LineageManager* manager,
-                       TPRelation* result) {
-  TPDB_CHECK(windows != nullptr && result != nullptr);
-  return EmitWindows(windows, layout, manager, MakeEmitSpec(kind, s_driven),
-                     result);
 }
 
 StatusOr<TPRelation> TPJoin(TPJoinKind kind, const TPRelation& r,

@@ -48,17 +48,15 @@ enum class JoinStrategy {
 /// Options for TPJoin.
 struct TPJoinOptions {
   JoinStrategy strategy = JoinStrategy::kLineageAware;
-  /// Physical algorithm for the NJ overlap join (ablation knob).
-  OverlapAlgorithm overlap_algorithm = OverlapAlgorithm::kPartitioned;
+  /// Physical algorithm for the NJ overlap join. kAuto picks it from the
+  /// inputs once per join (ChooseOverlapAlgorithm); the forced values are
+  /// for the TA baseline, tests and benches.
+  OverlapAlgorithm overlap_algorithm = OverlapAlgorithm::kAuto;
   /// Name of the result relation ("" = derived from the inputs).
   std::string result_name;
   /// Verify the duplicate-free-in-time invariant of both inputs up front
   /// (O(n log n); benchmarks switch this off to time the join alone).
   bool validate_inputs = true;
-  /// Slice-count hint for the time-partitioned parallel sweep driver
-  /// (exec/time_partition.h); 0 derives it from the context's parallelism.
-  /// Only meaningful with overlap_algorithm == kSweep under ParallelTPJoin.
-  int time_slices = 0;
 };
 
 /// Computes `kind` over r and s with condition θ. Both relations must share
@@ -129,22 +127,15 @@ JoinPipelines LineageAwareJoinPipelines(TPJoinKind kind);
 /// Serial LineageAwareJoin == r-driven pipeline, then s-driven pipeline.
 /// With `probe` (a MakeWindowProbeSide over the pipeline's probe input —
 /// s for the r-driven pipeline, r for the s-driven one), the window plan
-/// reuses the shared flattened table + partitioned build.
+/// reuses the shared flattened table + partitioned build. `algorithm` must
+/// be resolved already (ChooseOverlapAlgorithm), so both pipelines and all
+/// morsels of one join run the same plan.
 Status RunLineageAwareJoinPipeline(TPJoinKind kind, bool s_driven,
                                    const TPRelation& r, const TPRelation& s,
                                    const JoinCondition& theta,
                                    OverlapAlgorithm algorithm,
                                    TPRelation* result,
                                    const OverlapProbeSide* probe = nullptr);
-
-/// The window→tuple emission rule of one pipeline of `kind`, applied to an
-/// arbitrary window stream (canonical WindowLayout rows; for non-inner
-/// kinds the stream must already include the LAWAU/LAWAN output). The
-/// time-partitioned driver (exec/time_partition.h) runs the per-rid tail
-/// of a pipeline over regrouped slice outputs through this.
-Status EmitJoinWindows(TPJoinKind kind, bool s_driven, Operator* windows,
-                       const WindowLayout& layout, LineageManager* manager,
-                       TPRelation* result);
 
 }  // namespace tpdb
 

@@ -1,11 +1,12 @@
 #include "tp/overlap_join.h"
 
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "engine/nested_loop_join.h"
 #include "engine/scan.h"
 #include "engine/sort.h"
-#include "engine/stats.h"
 #include "engine/temporal_outer_join.h"
 #include "tp/sweep_join.h"
 
@@ -98,9 +99,14 @@ class WindowFinisher final : public Operator {
   Schema schema_;
 };
 
-/// Sides below this many combined rows make the nested loop competitive;
-/// above it kAuto prefers the sweep when the probe build is degenerate.
-constexpr size_t kSweepAutoMinRows = 64;
+/// Candidate pairs per input row above which kAuto runs the sweep. Where
+/// keys are spread the sweep's sort and per-rid regrouping cost about as
+/// much as the probe or more (bench_sweep_join: Webkit ~2, uniform ~4 and
+/// Meteo ~10 candidates per row, sweep 0.95-1.35x the probe's time); from
+/// a Zipf 0.8 key histogram (~30) up the probe's partition rescans
+/// dominate and the sweep wins. Meteo's anti join, a benchmark statement,
+/// sits below the bound and keeps the paper's plan.
+constexpr double kSweepCandidatesPerRow = 16.0;
 
 }  // namespace
 
@@ -161,6 +167,80 @@ StatusOr<ThetaMatcher> ThetaMatcher::Make(const JoinCondition& theta,
   return ThetaMatcher(std::move(*keys), theta.predicate);
 }
 
+std::optional<uint64_t> EquiKeyHash(const Row& fact,
+                                    const std::vector<int>& columns) {
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (const int c : columns) {
+    const Datum& d = fact[c];
+    if (d.is_null()) return std::nullopt;
+    // Integer keys (the common case) take one multiply instead of
+    // Datum::Hash's byte loop.
+    const uint64_t v = d.type() == DatumType::kInt64
+                           ? static_cast<uint64_t>(d.AsInt64()) *
+                                 0xff51afd7ed558ccdull
+                           : d.Hash();
+    h = (h ^ v ^ (v >> 29)) * 1099511628211ull;
+  }
+  return h;
+}
+
+double OverlapCandidatesPerRow(const TPRelation& r, const TPRelation& s,
+                               const JoinCondition& theta) {
+  const double rows = static_cast<double>(r.size() + s.size());
+  if (rows == 0.0) return 0.0;
+  StatusOr<std::vector<std::pair<int, int>>> keys =
+      ResolveCondition(theta, r.fact_schema(), s.fact_schema());
+  if (!keys.ok()) return 0.0;  // the join itself reports the bad θ
+  if (keys->empty())
+    return static_cast<double>(r.size()) * static_cast<double>(s.size()) /
+           rows;
+  std::vector<int> r_columns, s_columns;
+  for (const auto& [ri, si] : *keys) {
+    r_columns.push_back(ri);
+    s_columns.push_back(si);
+  }
+  // |r_k| and |s_k| per key group, in an open-addressing table keyed by
+  // the key hash with its low bit set (so 0 marks an empty slot; two keys
+  // whose hashes differ only there share a group). s rows only count
+  // toward keys r has. A flat table keeps this pass cheap next to the join.
+  size_t capacity = 16;
+  while (capacity < 2 * r.size()) capacity <<= 1;
+  std::vector<uint64_t> slots(capacity, 0);
+  std::vector<std::pair<uint32_t, uint32_t>> sizes(capacity, {0, 0});
+  const auto slot_of = [&](uint64_t h) {
+    size_t i = (h ^ (h >> 31)) & (capacity - 1);
+    while (slots[i] != 0 && slots[i] != h) i = (i + 1) & (capacity - 1);
+    return i;
+  };
+  for (const TPTuple& t : r.tuples()) {
+    if (const std::optional<uint64_t> h = EquiKeyHash(t.fact, r_columns)) {
+      const size_t i = slot_of(*h | 1);
+      slots[i] = *h | 1;
+      ++sizes[i].first;
+    }
+  }
+  for (const TPTuple& t : s.tuples()) {
+    if (const std::optional<uint64_t> h = EquiKeyHash(t.fact, s_columns)) {
+      const size_t i = slot_of(*h | 1);
+      if (slots[i] != 0) ++sizes[i].second;
+    }
+  }
+  double pairs = 0.0;
+  for (const auto& [r_k, s_k] : sizes)
+    pairs += static_cast<double>(r_k) * static_cast<double>(s_k);
+  return pairs / rows;
+}
+
+OverlapAlgorithm ChooseOverlapAlgorithm(OverlapAlgorithm requested,
+                                        const TPRelation& r,
+                                        const TPRelation& s,
+                                        const JoinCondition& theta) {
+  if (requested != OverlapAlgorithm::kAuto) return requested;
+  return OverlapCandidatesPerRow(r, s, theta) > kSweepCandidatesPerRow
+             ? OverlapAlgorithm::kSweep
+             : OverlapAlgorithm::kPartitioned;
+}
+
 StatusOr<OverlapProbeSide> MakeOverlapProbeSide(
     std::shared_ptr<const Table> s_table, const Schema& r_facts,
     const Schema& s_facts, const JoinCondition& theta,
@@ -210,26 +290,9 @@ StatusOr<OperatorPtr> MakeOverlapWindowJoin(
         << "probe side built over a different s table";
     algorithm = OverlapAlgorithm::kPartitioned;
   }
-  if (algorithm == OverlapAlgorithm::kAuto) {
-    // Optimizer path: estimate from table statistics (interval columns sit
-    // right after the facts in the flattened layout).
-    const TableStats r_stats =
-        TableStats::Compute(*r_table, n_rf, n_rf + 1);
-    const TableStats s_stats =
-        TableStats::Compute(*s_table, n_sf, n_sf + 1);
-    if (PreferPartitionedJoin(r_stats, s_stats, *keys)) {
-      algorithm = OverlapAlgorithm::kPartitioned;
-    } else if (keys->empty() &&
-               r_table->rows.size() + s_table->rows.size() >=
-                   kSweepAutoMinRows) {
-      // θ has no equalities (empty or predicate-only): a hash build would
-      // collapse into one degenerate partition rescanned per probe. The
-      // sweep's single active set only ever holds temporally-live tuples.
-      algorithm = OverlapAlgorithm::kSweep;
-    } else {
-      algorithm = OverlapAlgorithm::kNestedLoop;
-    }
-  }
+  if (algorithm == OverlapAlgorithm::kAuto)
+    return Status::InvalidArgument(
+        "overlap join needs a resolved algorithm; see ChooseOverlapAlgorithm");
   if (algorithm == OverlapAlgorithm::kSweep)
     return MakeSweepWindowJoin(r_table, r_facts, s_table, s_facts, theta,
                                hints);

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,10 +39,9 @@ struct JoinCondition {
   }
 
   /// True iff θ has no constraints (matches every pair). NOT the same as
-  /// equal_columns.empty(): a predicate-only θ still constrains pairs but
-  /// gives the hash-based plans a single degenerate partition — kAuto
-  /// routes that shape to kSweep, whose one active set is bounded by
-  /// temporal overlap instead of the full cross product.
+  /// equal_columns.empty(): a predicate-only θ still constrains pairs, but
+  /// like the trivial θ it gives the probe one partition holding all of s,
+  /// so kAuto counts |r|·|s| candidate pairs for both shapes.
   bool IsTrivial() const {
     return equal_columns.empty() && !predicate;
   }
@@ -50,26 +50,52 @@ struct JoinCondition {
 /// Physical algorithm for the overlap join.
 enum class OverlapAlgorithm {
   /// Hash-partition s on the equi-keys, probe sorted by interval start —
-  /// the plan the paper's NJ uses inside PostgreSQL.
+  /// the plan the paper's NJ uses inside PostgreSQL. Each r row rescans
+  /// its key's partition, so its cost grows with the key-group sizes.
   kPartitioned,
-  /// Plain nested loop — what the optimizer falls back to for TA (and the
-  /// ablation baseline).
+  /// Plain nested loop — the TA baseline's overlap join and the ablation
+  /// baseline. kAuto never picks it.
   kNestedLoop,
   /// Sort-merge/sweep-line: both sides sorted by _ts (skipped when the
   /// hints say an input already is), one merged start-event stream swept
   /// with per-equi-key active sets (tp/sweep_join.h). O(n log n + output)
-  /// instead of the probe's per-key partition rescans, so it is immune to
-  /// key skew; with no equi-keys it degrades to ONE active set bounded by
-  /// temporal overlap rather than a full cross product.
+  /// whatever the key histogram, but it pays the sort and the regrouping
+  /// per rid even where keys are spread thin.
   kSweep,
-  /// Cost-based choice among the above from table statistics (the
-  /// optimizer path; see engine/stats.h).
+  /// Picks kPartitioned or kSweep from the data: the sweep when one hot
+  /// key makes the probe's candidate pairs per input row exceed a fixed
+  /// bound (ChooseOverlapAlgorithm). The default of every entry point that
+  /// runs a whole join or set operation.
   kAuto,
 };
 
 /// Name of an overlap algorithm ("partitioned" / "nested-loop" / "sweep" /
 /// "auto").
 const char* OverlapAlgorithmName(OverlapAlgorithm algorithm);
+
+/// Hash of the key values of `fact` at `columns`; nullopt when one is NULL
+/// (a NULL key matches nothing). Equal keys of equal type hash equally, so
+/// it groups rows by equi-key for the sweep's active sets and for
+/// OverlapCandidatesPerRow; callers re-check equality where it matters.
+std::optional<uint64_t> EquiKeyHash(const Row& fact,
+                                    const std::vector<int>& columns);
+
+/// The probe's candidate pairs per input row for the overlap join of r and
+/// s under θ: Σ_k |r_k|·|s_k| / (|r| + |s|) over the groups k of equal
+/// equi-key values. Rows with a NULL key match nothing and are left out of
+/// the sum; a θ with no equi-keys has one group, |r|·|s|. 0 when both
+/// inputs are empty.
+double OverlapCandidatesPerRow(const TPRelation& r, const TPRelation& s,
+                               const JoinCondition& theta);
+
+/// Resolves `requested` for one overlap join: a forced algorithm is
+/// returned as is; kAuto becomes kSweep when OverlapCandidatesPerRow
+/// exceeds 16 (one key is hot enough that the probe's rescans of its
+/// partition cost more than the sweep's sort), kPartitioned otherwise.
+OverlapAlgorithm ChooseOverlapAlgorithm(OverlapAlgorithm requested,
+                                        const TPRelation& r,
+                                        const TPRelation& s,
+                                        const JoinCondition& theta);
 
 /// Physical properties of the inputs the caller already knows. Sortedness
 /// by _ts flows from TPRelation::sorted_by_ts() — maintained on append and
@@ -91,7 +117,7 @@ struct OverlapProbeSide {
 };
 
 /// Flattens nothing: takes an already-flattened `s_table` and partitions
-/// it on the equi-keys of `theta` (for kPartitioned / kAuto).
+/// it on the equi-keys of `theta` (for kPartitioned).
 StatusOr<OverlapProbeSide> MakeOverlapProbeSide(
     std::shared_ptr<const Table> s_table, const Schema& r_facts,
     const Schema& s_facts, const JoinCondition& theta,
@@ -103,6 +129,8 @@ StatusOr<OverlapProbeSide> MakeOverlapProbeSide(
 /// the windows are ordered by start, which is exactly the order LAWAU
 /// expects — no extra sort is needed (the pipeline stays streaming).
 ///
+/// `algorithm` must be resolved (not kAuto): the choice needs the
+/// relations, which MakeWindowPlan has (ChooseOverlapAlgorithm).
 /// With a `probe` (whose s_table must be the one passed here), the
 /// partitioned algorithm probes the shared build instead of re-building;
 /// a non-null probe->build pins the partitioned algorithm.

@@ -30,10 +30,10 @@ StatusOr<WindowPlan> MakeWindowPlan(const TPRelation& r, const TPRelation& s,
   OverlapJoinHints hints;
   hints.r_sorted_by_ts = r.sorted_by_ts();
   hints.s_sorted_by_ts = s.sorted_by_ts();
-  StatusOr<OperatorPtr> join =
-      MakeOverlapWindowJoin(plan.r_table.get(), r.fact_schema(),
-                            plan.s_table.get(), s.fact_schema(), theta,
-                            algorithm, probe, hints);
+  StatusOr<OperatorPtr> join = MakeOverlapWindowJoin(
+      plan.r_table.get(), r.fact_schema(), plan.s_table.get(),
+      s.fact_schema(), theta, ChooseOverlapAlgorithm(algorithm, r, s, theta),
+      probe, hints);
   if (!join.ok()) return join.status();
   OperatorPtr root = std::move(*join);
 

@@ -34,7 +34,9 @@ struct WindowPlan {
   OperatorPtr root;
 };
 
-/// Builds the NJ pipeline over `r` and `s` up to `stage`. With `probe`
+/// Builds the NJ pipeline over `r` and `s` up to `stage`; kAuto resolves
+/// through ChooseOverlapAlgorithm. The default is the paper's plan, so the
+/// stage benches time what the paper times. With `probe`
 /// (from MakeWindowProbeSide over the same `s`), the plan reuses the
 /// shared flattened table and partitioned build instead of re-deriving
 /// them — the parallel driver's path, where `r` is one morsel.

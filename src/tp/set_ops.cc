@@ -94,9 +94,10 @@ Status EmitWindowStream(Operator* windows, const WindowLayout& layout,
 
 Status EmitSetWindows(const TPRelation& r, const TPRelation& s,
                       const JoinCondition& theta, const SetOpSpec& spec,
-                      bool swapped, TPRelation* result) {
+                      bool swapped, OverlapAlgorithm algorithm,
+                      TPRelation* result) {
   StatusOr<WindowPlan> plan =
-      MakeWindowPlan(r, s, theta, WindowStage::kWuon);
+      MakeWindowPlan(r, s, theta, WindowStage::kWuon, algorithm);
   if (!plan.ok()) return plan.status();
   return EmitWindowStream(plan->root.get(), plan->layout, r.manager(), spec,
                           swapped, result);
@@ -124,12 +125,16 @@ SetOpSpec SpecOf(TPSetOpKind kind) {
 
 StatusOr<TPRelation> RunSetOp(TPSetOpKind kind, const TPRelation& r,
                               const TPRelation& s, std::string name) {
+  StatusOr<JoinCondition> theta = FullFactEquality(r, s);
+  if (!theta.ok()) return theta.status();
+  const OverlapAlgorithm algorithm =
+      ChooseOverlapAlgorithm(OverlapAlgorithm::kAuto, r, s, *theta);
   TPRelation result(std::move(name), r.fact_schema(), r.manager());
   TPDB_RETURN_IF_ERROR(
-      RunSetOpPipeline(kind, /*s_driven=*/false, r, s, &result));
+      RunSetOpPipeline(kind, /*s_driven=*/false, r, s, algorithm, &result));
   if (SetOpHasSDrivenPipeline(kind)) {
     TPDB_RETURN_IF_ERROR(
-        RunSetOpPipeline(kind, /*s_driven=*/true, r, s, &result));
+        RunSetOpPipeline(kind, /*s_driven=*/true, r, s, algorithm, &result));
   }
   return result;
 }
@@ -157,28 +162,22 @@ StatusOr<JoinCondition> SetOpCondition(const TPRelation& r,
   return FullFactEquality(r, s);
 }
 
-Status EmitSetOpWindows(TPSetOpKind kind, bool swapped, Operator* windows,
-                        const WindowLayout& layout, LineageManager* manager,
-                        TPRelation* result) {
-  TPDB_CHECK(windows != nullptr && result != nullptr);
-  return EmitWindowStream(windows, layout, manager, SpecOf(kind), swapped,
-                          result);
-}
-
 Status RunSetOpPipeline(TPSetOpKind kind, bool s_driven, const TPRelation& r,
-                        const TPRelation& s, TPRelation* result) {
+                        const TPRelation& s, OverlapAlgorithm algorithm,
+                        TPRelation* result) {
   TPDB_CHECK(result != nullptr);
   StatusOr<JoinCondition> theta = FullFactEquality(r, s);
   if (!theta.ok()) return theta.status();
   const SetOpSpec spec = SpecOf(kind);
   if (!s_driven)
-    return EmitSetWindows(r, s, *theta, spec, /*swapped=*/false, result);
+    return EmitSetWindows(r, s, *theta, spec, /*swapped=*/false, algorithm,
+                          result);
   // Pipeline with the inputs exchanged: its unmatched windows are the
   // facts valid only in s.
   TPDB_CHECK(spec.include_s_unmatched)
       << TPSetOpKindName(kind) << " has no s-driven pipeline";
   return EmitSetWindows(s, r, SwapJoinCondition(*theta), spec,
-                        /*swapped=*/true, result);
+                        /*swapped=*/true, algorithm, result);
 }
 
 StatusOr<TPRelation> TPSetOp(TPSetOpKind kind, const TPRelation& r,

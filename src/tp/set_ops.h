@@ -73,22 +73,16 @@ bool SetOpHasSDrivenPipeline(TPSetOpKind kind);
 
 /// Runs ONE pipeline of the set operation over (r, s) — in operation
 /// orientation, even for the s-driven pipeline — appending output tuples
-/// to `result` (schema = r's fact schema).
+/// to `result` (schema = r's fact schema). `algorithm` must be resolved
+/// already (ChooseOverlapAlgorithm over r, s and SetOpCondition).
 Status RunSetOpPipeline(TPSetOpKind kind, bool s_driven, const TPRelation& r,
-                        const TPRelation& s, TPRelation* result);
+                        const TPRelation& s, OverlapAlgorithm algorithm,
+                        TPRelation* result);
 
 /// θ of the set operations: equality on every fact column, after checking
 /// union compatibility of the two relations.
 StatusOr<JoinCondition> SetOpCondition(const TPRelation& r,
                                        const TPRelation& s);
-
-/// The window→tuple lineage-concatenation rule of `kind`, applied to an
-/// arbitrary WUON window stream (canonical WindowLayout rows). `swapped`
-/// marks the s-driven pipeline (inputs exchanged). Used by the
-/// time-partitioned parallel driver (exec/time_partition.h).
-Status EmitSetOpWindows(TPSetOpKind kind, bool swapped, Operator* windows,
-                        const WindowLayout& layout, LineageManager* manager,
-                        TPRelation* result);
 
 }  // namespace tpdb
 

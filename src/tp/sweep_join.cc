@@ -1,12 +1,15 @@
 #include "tp/sweep_join.h"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "tp/window.h"
 
 namespace tpdb {
 
@@ -35,73 +38,108 @@ struct ActiveEntry {
   uint32_t idx;
 };
 
-/// Per-key active sets, keyed by the combined hash of the tuple's resolved
-/// equi-key values. Collisions are harmless: every probe hit re-verifies
-/// the actual θ (key equality + predicate). With no equi-keys every tuple
-/// lands under one hash — a single active set, which is exactly the sane
-/// predicate-only plan (the scan is bounded by temporal overlap, unlike
-/// the degenerate single partition a hash build would produce).
-using ActiveSets = std::unordered_map<uint64_t, std::vector<ActiveEntry>>;
+/// The two active sets of one equi-key (index 0: r tuples, 1: s tuples).
+/// Keyed by EquiKeyHash; collisions are harmless: every probe hit
+/// re-verifies the actual θ (key equality + predicate). With no equi-keys
+/// every tuple lands under one hash — a single pair of active sets, which
+/// is exactly the sane predicate-only plan (the scan is bounded by
+/// temporal overlap, unlike the degenerate single partition a hash build
+/// would produce).
+using ActiveSets =
+    std::unordered_map<uint64_t, std::array<std::vector<ActiveEntry>, 2>>;
 
-/// Processing order of one side: row ids sorted by (_ts, id). `ids` null
-/// means all rows; `sorted` skips the sort (stable, so equal starts keep
-/// id order either way).
-std::vector<uint32_t> SideOrder(const Table& table,
-                                const std::vector<uint32_t>* ids, bool sorted,
-                                int ts_col) {
-  std::vector<uint32_t> order;
-  if (ids != nullptr) {
-    order = *ids;
-  } else {
-    order.resize(table.rows.size());
-    std::iota(order.begin(), order.end(), 0u);
-  }
-  if (!sorted) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                       return table.rows[a][ts_col].AsInt64() <
-                              table.rows[b][ts_col].AsInt64();
-                     });
-  }
+/// Processing order of one side: (_ts, row id) sorted. `sorted` skips the
+/// sort (table order then is (_ts, id) order).
+std::vector<std::pair<TimePoint, uint32_t>> SideOrder(const Table& table,
+                                                      bool sorted,
+                                                      int ts_col) {
+  std::vector<std::pair<TimePoint, uint32_t>> order(table.rows.size());
+  for (uint32_t i = 0; i < order.size(); ++i)
+    order[i] = {table.rows[i][ts_col].AsInt64(), i};
+  if (!sorted) std::sort(order.begin(), order.end());
   return order;
 }
 
-}  // namespace
+/// One overlapping window found by the sweep: the pair and its interval.
+struct FoundWindow {
+  uint32_t ridx;
+  uint32_t sidx;
+  TimePoint start;
+  TimePoint end;
+};
 
-void RunSweep(const SweepSpec& spec, const ThetaMatcher& theta,
-              std::vector<Row>* out, SweepStats* stats) {
-  TPDB_CHECK(spec.r_table != nullptr && spec.s_table != nullptr);
-  TPDB_CHECK(out != nullptr && stats != nullptr);
-  const Table& rt = *spec.r_table;
-  const Table& st = *spec.s_table;
-  const WindowLayout& layout = spec.layout;
-  const int n_rf = layout.num_r_facts();
-  const int n_sf = layout.num_s_facts();
+/// The kSweep plan: sweeps on Open() and regroups the found windows by rid
+/// (a stable counting sort, so each rid keeps window-start order), then
+/// streams them in rid order, with a full-interval unmatched window for
+/// every rid that matched nothing. Rows are built on demand into one
+/// reused buffer.
+class SweepWindowJoin final : public Operator {
+ public:
+  SweepWindowJoin(const Table* r_table, const Table* s_table,
+                  WindowLayout layout, Schema schema, ThetaMatcher theta,
+                  OverlapJoinHints hints)
+      : r_table_(r_table),
+        s_table_(s_table),
+        layout_(layout),
+        schema_(std::move(schema)),
+        theta_(std::move(theta)),
+        hints_(hints) {}
+
+  const Schema& schema() const override { return schema_; }
+
+  void Open() override {
+    Sweep();
+    rid_ = 0;
+    pos_ = 0;
+  }
+  bool Next(Row* out) override {
+    const Row* row = NextRef();
+    if (row == nullptr) return false;
+    *out = *row;
+    return true;
+  }
+  const Row* NextRef() override;
+  void Close() override {}
+
+ private:
+  /// Runs the sweep, filling windows_ grouped by rid and rid_begin_.
+  void Sweep();
+
+  const Table* r_table_;
+  const Table* s_table_;
+  WindowLayout layout_;
+  Schema schema_;
+  ThetaMatcher theta_;
+  OverlapJoinHints hints_;
+  /// Found windows grouped by rid: rid i owns [rid_begin_[i],
+  /// rid_begin_[i + 1]). pos_ walks them in step with rid_.
+  std::vector<FoundWindow> windows_;
+  std::vector<size_t> rid_begin_;
+  size_t rid_ = 0;
+  size_t pos_ = 0;
+  Row buffer_;
+};
+
+void SweepWindowJoin::Sweep() {
+  const Table& rt = *r_table_;
+  const Table& st = *s_table_;
+  const int n_rf = layout_.num_r_facts();
+  const int n_sf = layout_.num_s_facts();
   // Flattened input rows: facts ++ _ts ++ _te ++ _lin.
-  const int r_ts = n_rf, r_te = n_rf + 1, r_lin = n_rf + 2;
-  const int s_ts = n_sf, s_te = n_sf + 1, s_lin = n_sf + 2;
+  const int r_ts = n_rf, r_te = n_rf + 1;
+  const int s_ts = n_sf, s_te = n_sf + 1;
 
-  const std::vector<uint32_t> r_order =
-      SideOrder(rt, spec.r_ids, spec.r_sorted, r_ts);
-  const std::vector<uint32_t> s_order =
-      SideOrder(st, spec.s_ids, spec.s_sorted, s_ts);
+  const std::vector<std::pair<TimePoint, uint32_t>> orders[2] = {
+      SideOrder(rt, hints_.r_sorted_by_ts, r_ts),
+      SideOrder(st, hints_.s_sorted_by_ts, s_ts)};
 
-  const auto& keys = theta.keys();
-  const auto& pred = theta.predicate();
-
-  // Combined hash of a tuple's resolved key values; nullopt for a null key
-  // (a null never equals anything, so the tuple can neither probe nor be
-  // probed — it still yields its unmatched windows via its empty bucket).
-  const auto hash_keys = [&keys](const Row& row,
-                                 bool is_r) -> std::optional<uint64_t> {
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const auto& [ri, si] : keys) {
-      const Datum& d = row[is_r ? ri : si];
-      if (d.is_null()) return std::nullopt;
-      h = (h ^ d.Hash()) * 1099511628211ull;
-    }
-    return h;
-  };
+  const auto& keys = theta_.keys();
+  const auto& pred = theta_.predicate();
+  std::vector<int> key_columns[2];
+  for (const auto& [ri, si] : keys) {
+    key_columns[0].push_back(ri);
+    key_columns[1].push_back(si);
+  }
 
   const auto matches = [&](const Row& r_row, const Row& s_row) {
     for (const auto& [ri, si] : keys) {
@@ -115,236 +153,110 @@ void RunSweep(const SweepSpec& spec, const ThetaMatcher& theta,
     return pred(rf, sf);
   };
 
-  // Emits the overlapping window of pair (ridx, sidx) starting at t.
+  // Windows in event order; regrouped per rid below.
+  std::vector<FoundWindow> found;
   const auto emit = [&](uint32_t ridx, uint32_t sidx, TimePoint t) {
-    const Row& r_row = rt.rows[ridx];
-    const Row& s_row = st.rows[sidx];
-    const TimePoint w_end =
-        std::min(r_row[r_te].AsInt64(), s_row[s_te].AsInt64());
-    Row row;
-    row.reserve(static_cast<size_t>(layout.num_columns()));
-    row.push_back(Datum(static_cast<int64_t>(ridx)));
-    for (int i = 0; i < n_rf; ++i) row.push_back(r_row[i]);
-    row.push_back(r_row[r_ts]);
-    row.push_back(r_row[r_te]);
-    row.push_back(r_row[r_lin]);
-    for (int i = 0; i < n_sf; ++i) row.push_back(s_row[i]);
-    row.push_back(s_row[s_ts]);
-    row.push_back(s_row[s_te]);
-    row.push_back(s_row[s_lin]);
-    row.push_back(Datum(t));
-    row.push_back(Datum(w_end));
-    row.push_back(
-        Datum(static_cast<int64_t>(WindowClass::kOverlapping)));
-    out->push_back(std::move(row));
+    found.push_back({ridx, sidx, t,
+                     std::min(rt.rows[ridx][r_te].AsInt64(),
+                              st.rows[sidx][s_te].AsInt64())});
   };
 
-  ActiveSets r_active, s_active;
+  ActiveSets actives;
   size_t live = 0;
+  uint64_t active_max = 0;
 
-  // Probes `actives[h]` at time t: expired entries (te <= t) are dropped
-  // in place (stable — surviving entries keep insertion order, which is
-  // what makes per-rid emission ordered by s start), live ones are handed
-  // to `on_live`.
-  const auto probe = [&live](ActiveSets& actives, uint64_t h, TimePoint t,
-                             const auto& on_live) {
-    const auto it = actives.find(h);
-    if (it == actives.end()) return;
-    std::vector<ActiveEntry>& entries = it->second;
-    size_t w = 0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].te <= t) continue;
-      entries[w++] = entries[i];
-      on_live(entries[i].idx);
-    }
-    live -= entries.size() - w;
-    entries.resize(w);
-  };
-
-  size_t ri = 0, si = 0;
-  while (ri < r_order.size() || si < s_order.size()) {
+  // One start event per tuple, merged across the sides in (_ts) order. A
+  // tuple with a null key can neither probe nor be probed — it still
+  // yields its unmatched window. Otherwise it probes the OTHER side's
+  // active set of its key at its start t: expired entries (te <= t) are
+  // dropped in place (stable — surviving entries keep insertion order,
+  // which is what makes per-rid emission ordered by s start), live ones
+  // are matched; then it joins its own side's set.
+  size_t cursor[2] = {0, 0};
+  while (cursor[0] < orders[0].size() || cursor[1] < orders[1].size()) {
     // Ties go to s: an r tuple starting at t must see s tuples starting at
     // t already active (their pair's window starts at t = the r event).
-    const bool take_r =
-        si >= s_order.size() ||
-        (ri < r_order.size() &&
-         rt.rows[r_order[ri]][r_ts].AsInt64() <
-             st.rows[s_order[si]][s_ts].AsInt64());
-    ++stats->endpoints;
-    if (take_r) {
-      const uint32_t idx = r_order[ri++];
-      const Row& row = rt.rows[idx];
-      const TimePoint t = row[r_ts].AsInt64();
-      const std::optional<uint64_t> h = hash_keys(row, /*is_r=*/true);
-      if (!h) continue;
-      if (t >= spec.emit_lo) {
-        probe(s_active, *h, t, [&](uint32_t sidx) {
-          if (matches(row, st.rows[sidx])) emit(idx, sidx, t);
-        });
-      } else {
-        probe(s_active, *h, t, [](uint32_t) {});
-      }
-      r_active[*h].push_back({row[r_te].AsInt64(), idx});
-    } else {
-      const uint32_t idx = s_order[si++];
-      const Row& row = st.rows[idx];
-      const TimePoint t = row[s_ts].AsInt64();
-      const std::optional<uint64_t> h = hash_keys(row, /*is_r=*/false);
-      if (!h) continue;
-      if (t >= spec.emit_lo) {
-        probe(r_active, *h, t, [&](uint32_t ridx) {
-          if (matches(rt.rows[ridx], row)) emit(ridx, idx, t);
-        });
-      } else {
-        probe(r_active, *h, t, [](uint32_t) {});
-      }
-      s_active[*h].push_back({row[s_te].AsInt64(), idx});
+    const int side =
+        cursor[1] >= orders[1].size() ||
+                (cursor[0] < orders[0].size() &&
+                 orders[0][cursor[0]].first < orders[1][cursor[1]].first)
+            ? 0
+            : 1;
+    const auto [t, idx] = orders[side][cursor[side]++];
+    const Row& row = side == 0 ? rt.rows[idx] : st.rows[idx];
+    const std::optional<uint64_t> h = EquiKeyHash(row, key_columns[side]);
+    if (!h) continue;
+    std::array<std::vector<ActiveEntry>, 2>& sets = actives[*h];
+    std::vector<ActiveEntry>& other = sets[1 - side];
+    size_t w = 0;
+    for (size_t i = 0; i < other.size(); ++i) {
+      if (other[i].te <= t) continue;
+      other[w++] = other[i];
+      if (side == 0 && matches(row, st.rows[other[i].idx]))
+        emit(idx, other[i].idx, t);
+      if (side == 1 && matches(rt.rows[other[i].idx], row))
+        emit(other[i].idx, idx, t);
     }
+    live -= other.size() - w;
+    other.resize(w);
+    sets[side].push_back({row[side == 0 ? r_te : s_te].AsInt64(), idx});
     ++live;
-    stats->active_max = std::max<uint64_t>(stats->active_max, live);
+    active_max = std::max<uint64_t>(active_max, live);
   }
-  stats->windows = out->size();
+
+  // Stable counting sort by rid.
+  rid_begin_.assign(rt.rows.size() + 1, 0);
+  for (const FoundWindow& w : found) ++rid_begin_[w.ridx + 1];
+  for (size_t i = 1; i < rid_begin_.size(); ++i)
+    rid_begin_[i] += rid_begin_[i - 1];
+  std::vector<size_t> next(rid_begin_.begin(), rid_begin_.end() - 1);
+  windows_.resize(found.size());
+  for (const FoundWindow& w : found) windows_[next[w.ridx]++] = w;
 
   const SweepMetrics& m = SweepMetrics::Get();
-  m.endpoints->Add(stats->endpoints);
-  m.windows->Add(stats->windows);
-  m.active_max->Record(stats->active_max);
+  m.endpoints->Add(orders[0].size() + orders[1].size());
+  m.windows->Add(found.size());
+  m.active_max->Record(active_max);
 }
 
-void GroupWindowsByRid(std::vector<Row> rows, size_t num_r,
-                       std::vector<std::vector<Row>>* buckets) {
-  TPDB_CHECK(buckets != nullptr);
-  buckets->clear();
-  buckets->resize(num_r);
-  for (Row& row : rows) {
-    const size_t rid = static_cast<size_t>(row[0].AsInt64());
-    TPDB_DCHECK(rid < num_r);
-    (*buckets)[rid].push_back(std::move(row));
-  }
-}
-
-BucketWindowSource::BucketWindowSource(std::vector<std::vector<Row>>* buckets,
-                                       size_t rid_begin, size_t rid_end,
-                                       const Table* r_table,
-                                       WindowLayout layout, Schema schema)
-    : buckets_(buckets),
-      rid_begin_(rid_begin),
-      rid_end_(rid_end),
-      r_table_(r_table),
-      layout_(layout),
-      schema_(std::move(schema)),
-      rid_(rid_begin) {
-  TPDB_CHECK(buckets_ != nullptr && r_table_ != nullptr);
-  TPDB_CHECK(rid_end_ <= buckets_->size());
-}
-
-void BucketWindowSource::Open() {
-  rid_ = rid_begin_;
-  pos_ = 0;
-}
-
-void BucketWindowSource::BuildUnmatched(size_t rid) {
-  const Row& src = r_table_->rows[rid];
+const Row* SweepWindowJoin::NextRef() {
+  const size_t num_r = rid_begin_.size() - 1;
+  if (rid_ >= num_r) return nullptr;
   const int n_rf = layout_.num_r_facts();
   const int n_sf = layout_.num_s_facts();
-  Row& row = unmatched_buffer_;
+  const Row& r_row = r_table_->rows[rid_];
+  Row& row = buffer_;
   row.clear();
   row.reserve(static_cast<size_t>(layout_.num_columns()));
-  row.push_back(Datum(static_cast<int64_t>(rid)));
-  for (int i = 0; i < n_rf; ++i) row.push_back(src[i]);
-  row.push_back(src[n_rf]);      // r_ts
-  row.push_back(src[n_rf + 1]);  // r_te
-  row.push_back(src[n_rf + 2]);  // r_lin
-  for (int i = 0; i < n_sf + 3; ++i) row.push_back(Datum());  // s side: null
-  row.push_back(src[n_rf]);      // w = the full r interval
-  row.push_back(src[n_rf + 1]);
-  row.push_back(Datum(static_cast<int64_t>(WindowClass::kUnmatched)));
-}
-
-Row* BucketWindowSource::Advance() {
-  while (rid_ < rid_end_) {
-    std::vector<Row>& bucket = (*buckets_)[rid_];
-    if (bucket.empty()) {
-      BuildUnmatched(rid_);
-      ++rid_;
-      pos_ = 0;
-      return &unmatched_buffer_;
-    }
-    if (pos_ < bucket.size()) return &bucket[pos_++];
+  row.push_back(Datum(static_cast<int64_t>(rid_)));
+  // r side: facts ++ _ts ++ _te ++ _lin, verbatim.
+  row.insert(row.end(), r_row.begin(), r_row.begin() + n_rf + 3);
+  const size_t end = rid_begin_[rid_ + 1];
+  if (rid_begin_[rid_] == end) {
+    // No match at all: the full-interval unmatched window, s side null.
+    row.resize(row.size() + static_cast<size_t>(n_sf) + 3);
+    row.push_back(r_row[n_rf]);
+    row.push_back(r_row[n_rf + 1]);
+    row.push_back(Datum(static_cast<int64_t>(WindowClass::kUnmatched)));
     ++rid_;
-    pos_ = 0;
+    return &row;
   }
-  return nullptr;
+  const FoundWindow& w = windows_[pos_++];
+  const Row& s_row = s_table_->rows[w.sidx];
+  row.insert(row.end(), s_row.begin(), s_row.begin() + n_sf + 3);
+  row.push_back(Datum(w.start));
+  row.push_back(Datum(w.end));
+  row.push_back(Datum(static_cast<int64_t>(WindowClass::kOverlapping)));
+  if (pos_ == end) ++rid_;
+  return &row;
 }
-
-bool BucketWindowSource::Next(Row* out) {
-  Row* row = Advance();
-  if (row == nullptr) return false;
-  *out = std::move(*row);  // single pass: bucket rows are consumed
-  return true;
-}
-
-const Row* BucketWindowSource::NextRef() { return Advance(); }
-
-namespace {
-
-/// The kSweep plan: sweep + regroup on Open(), then stream like a
-/// BucketWindowSource over all rids.
-class SweepWindowJoin final : public Operator {
- public:
-  SweepWindowJoin(const Table* r_table, const Table* s_table,
-                  WindowLayout layout, Schema schema, ThetaMatcher theta,
-                  OverlapJoinHints hints, SweepStats* stats_out)
-      : r_table_(r_table),
-        s_table_(s_table),
-        layout_(layout),
-        schema_(std::move(schema)),
-        theta_(std::move(theta)),
-        hints_(hints),
-        stats_out_(stats_out) {}
-
-  const Schema& schema() const override { return schema_; }
-
-  void Open() override {
-    SweepSpec spec;
-    spec.r_table = r_table_;
-    spec.s_table = s_table_;
-    spec.layout = layout_;
-    spec.r_sorted = hints_.r_sorted_by_ts;
-    spec.s_sorted = hints_.s_sorted_by_ts;
-    std::vector<Row> rows;
-    SweepStats stats;
-    RunSweep(spec, theta_, &rows, &stats);
-    if (stats_out_ != nullptr) *stats_out_ = stats;
-    GroupWindowsByRid(std::move(rows), r_table_->rows.size(), &buckets_);
-    source_ = std::make_unique<BucketWindowSource>(
-        &buckets_, 0, r_table_->rows.size(), r_table_, layout_, schema_);
-    source_->Open();
-  }
-  bool Next(Row* out) override { return source_->Next(out); }
-  const Row* NextRef() override { return source_->NextRef(); }
-  void Close() override {
-    if (source_ != nullptr) source_->Close();
-  }
-
- private:
-  const Table* r_table_;
-  const Table* s_table_;
-  WindowLayout layout_;
-  Schema schema_;
-  ThetaMatcher theta_;
-  OverlapJoinHints hints_;
-  SweepStats* stats_out_;
-  std::vector<std::vector<Row>> buckets_;
-  std::unique_ptr<BucketWindowSource> source_;
-};
 
 }  // namespace
 
 StatusOr<OperatorPtr> MakeSweepWindowJoin(
     const Table* r_table, const Schema& r_facts, const Table* s_table,
     const Schema& s_facts, const JoinCondition& theta,
-    const OverlapJoinHints& hints, SweepStats* stats) {
+    const OverlapJoinHints& hints) {
   TPDB_CHECK(r_table != nullptr && s_table != nullptr);
   StatusOr<ThetaMatcher> matcher =
       ThetaMatcher::Make(theta, r_facts, s_facts);
@@ -353,7 +265,7 @@ StatusOr<OperatorPtr> MakeSweepWindowJoin(
                             static_cast<int>(s_facts.num_columns()));
   return OperatorPtr(std::make_unique<SweepWindowJoin>(
       r_table, s_table, layout, layout.MakeSchema(r_facts, s_facts),
-      std::move(*matcher), hints, stats));
+      std::move(*matcher), hints));
 }
 
 }  // namespace tpdb

@@ -11,108 +11,26 @@
 // unmatched window for rids that matched nothing) reproduces exactly the
 // stream MakeOverlapWindowJoin's probe plan feeds LAWAU: per-rid groups
 // ordered by window start.
-//
-// The same core runs the per-slice work of the time-partitioned parallel
-// driver (exec/time_partition.h): a slice sweeps only its id subsets and
-// suppresses windows starting before its lower bound (`emit_lo`), which
-// deduplicates boundary-spanning replicas — a window's start lies in
-// exactly one slice, and both tuples of its pair are replicated there.
 #ifndef TPDB_TP_SWEEP_JOIN_H_
 #define TPDB_TP_SWEEP_JOIN_H_
-
-#include <cstdint>
-#include <limits>
-#include <memory>
-#include <vector>
 
 #include "common/status.h"
 #include "engine/operator.h"
 #include "tp/overlap_join.h"
-#include "tp/window.h"
 
 namespace tpdb {
 
-/// Execution counters of one sweep (also exported as tpdb_join_sweep_*
-/// metrics).
-struct SweepStats {
-  uint64_t endpoints = 0;   ///< start events processed
-  /// High-water mark of retained active-set entries. Expiry is lazy (an
-  /// entry is dropped when its key bucket is next probed), so this bounds
-  /// the true number of live intervals from above.
-  uint64_t active_max = 0;
-  uint64_t windows = 0;     ///< overlapping windows emitted
-};
-
-/// One sweep's inputs: flattened tables (facts ++ _ts ++ _te ++ _lin),
-/// optional row subsets, and the slice emit bound.
-struct SweepSpec {
-  const Table* r_table = nullptr;
-  const Table* s_table = nullptr;
-  WindowLayout layout{0, 0};
-  /// Row subsets (slice membership); null = every row in table order. When
-  /// the matching *_sorted flag is set the ids must be ordered by _ts.
-  const std::vector<uint32_t>* r_ids = nullptr;
-  const std::vector<uint32_t>* s_ids = nullptr;
-  bool r_sorted = false;
-  bool s_sorted = false;
-  /// Emit only windows whose start is >= emit_lo — the time-partitioned
-  /// driver's dedup rule for boundary-spanning replicas.
-  TimePoint emit_lo = std::numeric_limits<TimePoint>::min();
-};
-
-/// Runs the sweep, appending the overlapping windows (canonical
-/// WindowLayout rows, class kOverlapping) to `*out` in event order. rid
-/// values are r_table row indices — global even when sweeping subsets.
-void RunSweep(const SweepSpec& spec, const ThetaMatcher& theta,
-              std::vector<Row>* out, SweepStats* stats);
-
-/// Distributes sweep output rows into `num_r` per-rid buckets, preserving
-/// input order within each bucket (= per-rid window-start order).
-void GroupWindowsByRid(std::vector<Row> rows, size_t num_r,
-                       std::vector<std::vector<Row>>* buckets);
-
-/// Streams the per-rid buckets of rids [rid_begin, rid_end) in rid order,
-/// emitting a full-interval unmatched window for every rid whose bucket is
-/// empty — the exact contract of MakeOverlapWindowJoin's output. Single
-/// pass: Next() moves rows out of the buckets.
-class BucketWindowSource final : public Operator {
- public:
-  BucketWindowSource(std::vector<std::vector<Row>>* buckets, size_t rid_begin,
-                     size_t rid_end, const Table* r_table, WindowLayout layout,
-                     Schema schema);
-
-  const Schema& schema() const override { return schema_; }
-  void Open() override;
-  bool Next(Row* out) override;
-  const Row* NextRef() override;
-  void Close() override {}
-
- private:
-  /// Next row, or null at end: a bucket row, or the rebuilt unmatched
-  /// buffer for an empty bucket.
-  Row* Advance();
-  void BuildUnmatched(size_t rid);
-
-  std::vector<std::vector<Row>>* buckets_;
-  size_t rid_begin_;
-  size_t rid_end_;
-  const Table* r_table_;
-  WindowLayout layout_;
-  Schema schema_;
-  size_t rid_ = 0;
-  size_t pos_ = 0;
-  Row unmatched_buffer_;
-};
-
-/// kSweep lowering of MakeOverlapWindowJoin: sweeps on Open() (sorting a
-/// side only when its hint says it is not already _ts-ordered), groups per
-/// rid, and streams groups in rid order with full-interval unmatched
-/// fill-ins — the same output contract, same downstream LAWAU/LAWAN.
-/// `stats`, when given, is filled on Open() and must outlive the operator.
+/// kSweep lowering of MakeOverlapWindowJoin over flattened tables (facts
+/// ++ _ts ++ _te ++ _lin), which must outlive the operator: sweeps on
+/// Open() (sorting a side only when its hint says it is not already
+/// _ts-ordered), groups per rid, and streams groups in rid order with
+/// full-interval unmatched fill-ins — the same output contract, same
+/// downstream LAWAU/LAWAN. Each sweep adds to the tpdb_join_sweep_*
+/// metrics.
 StatusOr<OperatorPtr> MakeSweepWindowJoin(
     const Table* r_table, const Schema& r_facts, const Table* s_table,
     const Schema& s_facts, const JoinCondition& theta,
-    const OverlapJoinHints& hints = {}, SweepStats* stats = nullptr);
+    const OverlapJoinHints& hints = {});
 
 }  // namespace tpdb
 
