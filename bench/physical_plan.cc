@@ -1,15 +1,10 @@
-// Physical-plan layer benchmarks, emitting BENCH_plan.json:
-//   * plan-construction latency: parse → logical plan, logical → bound
-//     physical tree (BuildPhysicalPlan), and the optimizer pass pipeline
-//     (fold → pushdown → prune → mode select), each timed separately;
-//   * mode-selection accuracy: for a query sweep over warm and cold
-//     inputs, the row and batch paths are both measured and the
-//     cost-model's UNHINTED choice (PlannerOptions::vectorize unset) is
-//     scored against the measured winner — within a 15% tie band, either
-//     choice counts as correct. The process exits non-zero when accuracy
-//     drops below 0.5 (the cost model must beat a coin flip).
+// Physical-plan layer benchmark, emitting BENCH_plan.json: plan
+// construction latency over a cold input — parse → logical plan, logical
+// → bound physical tree (BuildPhysicalPlan), and the optimizer pass
+// pipeline (fold → pushdown → prune → mode select), each timed
+// separately.
 //
-// Like bench_storage / bench_vector_exec this is a plain main():
+// Like bench_storage this is a plain main():
 //
 //   ./bench/bench_physical_plan [out.json]
 //
@@ -28,7 +23,6 @@
 #include "api/planner.h"
 #include "common/random.h"
 #include "datasets/generator.h"
-#include "exec/session.h"
 
 namespace tpdb {
 namespace {
@@ -51,16 +45,6 @@ struct PlanLatency {
   double parse_us = 0.0;
   double build_us = 0.0;
   double passes_us = 0.0;
-};
-
-struct ModeCase {
-  std::string input;  // "warm" | "cold"
-  std::string query;
-  double row_s = 0.0;
-  double batch_s = 0.0;
-  std::string chosen;  // mode of the unhinted plan
-  std::string best;    // measured winner ("tie" within 15%)
-  bool correct = false;
 };
 
 int Main(int argc, char** argv) {
@@ -126,56 +110,6 @@ int Main(int argc, char** argv) {
     latencies.push_back(std::move(lat));
   }
 
-  // -- Mode-selection accuracy sweep -------------------------------------
-  std::vector<ModeCase> cases;
-  int correct = 0;
-  const auto sweep = [&](const std::string& input, TPDatabase* db) {
-    for (const std::string& query : queries) {
-      ModeCase mode_case;
-      mode_case.input = input;
-      mode_case.query = query;
-
-      SessionOptions row_options;
-      row_options.vectorize = false;
-      row_options.parallelism = 1;
-      mode_case.row_s = TimeBestOf(reps, [&] {
-        TPDB_CHECK(Session(db, row_options).Query(query).ok());
-      });
-      SessionOptions batch_options;
-      batch_options.vectorize = true;
-      batch_options.parallelism = 1;
-      mode_case.batch_s = TimeBestOf(reps, [&] {
-        TPDB_CHECK(Session(db, batch_options).Query(query).ok());
-      });
-
-      PlannerOptions unhinted;  // vectorize unset = cost-based
-      unhinted.parallelism = 1;
-      Planner planner(db, unhinted);
-      StatusOr<LogicalPlan> logical = db->Plan(query);
-      TPDB_CHECK(logical.ok());
-      StatusOr<PhysicalPlan> plan = planner.Lower(*logical);
-      TPDB_CHECK(plan.ok()) << plan.status().ToString();
-      mode_case.chosen =
-          plan->ToString().find("{batch") != std::string::npos ? "batch"
-                                                               : "row";
-      const double ratio = mode_case.row_s / mode_case.batch_s;
-      if (ratio > 1.15)
-        mode_case.best = "batch";
-      else if (ratio < 1.0 / 1.15)
-        mode_case.best = "row";
-      else
-        mode_case.best = "tie";
-      mode_case.correct =
-          mode_case.best == "tie" || mode_case.chosen == mode_case.best;
-      correct += mode_case.correct ? 1 : 0;
-      cases.push_back(std::move(mode_case));
-    }
-  };
-  sweep("warm", &warm);
-  sweep("cold", &cold);
-  const double accuracy =
-      cases.empty() ? 1.0 : static_cast<double>(correct) / cases.size();
-
   // -- Emit --------------------------------------------------------------
   FILE* out = std::fopen(out_path.c_str(), "w");
   TPDB_CHECK(out != nullptr) << "cannot write " << out_path;
@@ -191,25 +125,11 @@ int Main(int argc, char** argv) {
                  std::max(0.0, l.passes_us),
                  i + 1 < latencies.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n  \"mode_selection\": [\n");
-  for (size_t i = 0; i < cases.size(); ++i) {
-    const ModeCase& c = cases[i];
-    std::fprintf(out,
-                 "    {\"input\": \"%s\", \"query\": \"%s\", \"row_s\": "
-                 "%.6f, \"batch_s\": %.6f, \"chosen\": \"%s\", \"best\": "
-                 "\"%s\", \"correct\": %s}%s\n",
-                 c.input.c_str(), c.query.c_str(), c.row_s, c.batch_s,
-                 c.chosen.c_str(), c.best.c_str(),
-                 c.correct ? "true" : "false",
-                 i + 1 < cases.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n  \"mode_selection_accuracy\": %.3f\n}\n",
-               accuracy);
+  std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::remove(snapshot_path.c_str());
-  std::printf("wrote %s (accuracy %.3f over %zu cases)\n", out_path.c_str(),
-              accuracy, cases.size());
-  return accuracy >= 0.5 ? 0 : 1;
+  std::printf("wrote %s\n", out_path.c_str());
+  return 0;
 }
 
 }  // namespace

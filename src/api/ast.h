@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/datum.h"
-#include "engine/aggregate.h"
 #include "engine/expr.h"
 #include "tp/operators.h"
 
@@ -61,6 +60,9 @@ AstExprPtr AstIsNull(AstExprPtr a);
 const char* CompareOpSymbol(CompareOp op);
 
 // -- SELECT statements ----------------------------------------------------
+
+/// Aggregate functions of the select list.
+enum class AggFn { kCount, kSum, kMin, kMax };
 
 /// One entry of the select list: a plain column or an aggregate call.
 struct SelectItem {

@@ -1,20 +1,13 @@
 #include "api/lowering_common.h"
 
 #include <algorithm>
-#include <atomic>
+#include <chrono>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "api/physical_plan.h"
-#include "engine/filter.h"
-#include "engine/limit.h"
-#include "engine/materialize.h"
-#include "engine/prob_sort.h"
-#include "engine/project.h"
-#include "engine/scan.h"
-#include "engine/sort.h"
-#include "engine/vector/adapters.h"
-#include "lineage/probability.h"
+#include "lineage/compile/prob_eval.h"
 
 namespace tpdb {
 
@@ -62,110 +55,42 @@ bool DatumToDouble(const Datum& d, double* out) {
   return false;
 }
 
-ExprPtr PromotedCompare(CompareOp op, ExprPtr a, ExprPtr b) {
-  return Fn(
-      [op, a, b](const Row& row) -> Datum {
-        const Datum da = a->Eval(row);
-        const Datum db = b->Eval(row);
-        if (da.is_null() || db.is_null()) return Datum::Null();
-        double x = 0, y = 0;
-        if (!DatumToDouble(da, &x) || !DatumToDouble(db, &y))
-          return Datum::Null();
-        bool result = false;
-        switch (op) {
-          case CompareOp::kEq: result = x == y; break;
-          case CompareOp::kNe: result = x != y; break;
-          case CompareOp::kLt: result = x < y; break;
-          case CompareOp::kLe: result = x <= y; break;
-          case CompareOp::kGt: result = x > y; break;
-          case CompareOp::kGe: result = x >= y; break;
-        }
-        return Datum(static_cast<int64_t>(result));
-      },
-      std::string("num") + CompareOpSymbol(op));
-}
-
-StatusOr<ExprPtr> CompilePredicate(const AstExprPtr& e, const Schema& schema) {
-  TPDB_CHECK(e != nullptr);
-  switch (e->kind) {
-    case AstExprKind::kColumn: {
-      const int idx = schema.IndexOf(e->column);
-      if (idx < 0)
-        return Status::NotFound("unknown column '" + e->column +
-                                "' (have: " + schema.ToString() + ")");
-      return Col(idx, e->column);
-    }
-    case AstExprKind::kLiteral:
-      return Lit(e->literal);
-    case AstExprKind::kCompare: {
-      StatusOr<ExprPtr> a = CompilePredicate(e->left, schema);
-      if (!a.ok()) return a.status();
-      StatusOr<ExprPtr> b = CompilePredicate(e->right, schema);
-      if (!b.ok()) return b.status();
-      const DatumType ta = StaticPredicateType(*e->left, schema);
-      const DatumType tb = StaticPredicateType(*e->right, schema);
-      const bool numeric_mix =
-          (ta == DatumType::kInt64 && tb == DatumType::kDouble) ||
-          (ta == DatumType::kDouble && tb == DatumType::kInt64);
-      if (numeric_mix)
-        return PromotedCompare(e->compare_op, std::move(*a), std::move(*b));
-      return Compare(e->compare_op, std::move(*a), std::move(*b));
-    }
-    case AstExprKind::kAnd:
-    case AstExprKind::kOr: {
-      StatusOr<ExprPtr> a = CompilePredicate(e->left, schema);
-      if (!a.ok()) return a.status();
-      StatusOr<ExprPtr> b = CompilePredicate(e->right, schema);
-      if (!b.ok()) return b.status();
-      return e->kind == AstExprKind::kAnd
-                 ? AndExpr(std::move(*a), std::move(*b))
-                 : OrExpr(std::move(*a), std::move(*b));
-    }
-    case AstExprKind::kNot: {
-      StatusOr<ExprPtr> a = CompilePredicate(e->left, schema);
-      if (!a.ok()) return a.status();
-      return NotExpr(std::move(*a));
-    }
-    case AstExprKind::kIsNull: {
-      StatusOr<ExprPtr> a = CompilePredicate(e->left, schema);
-      if (!a.ok()) return a.status();
-      return IsNull(std::move(*a));
-    }
-  }
-  return Status::Internal("unhandled predicate node");
-}
-
 namespace {
 
-StatusOr<vec::VOperand> CompileVectorOperand(const AstExpr& e,
+/// A comparison operand: a column, a literal, or a nested predicate.
+StatusOr<vec::VOperand> CompileVectorOperand(const AstExprPtr& e,
                                              const Schema& schema) {
-  if (e.kind == AstExprKind::kColumn) {
-    const int idx = schema.IndexOf(e.column);
+  if (e == nullptr) return Status::InvalidArgument("empty predicate operand");
+  if (e->kind == AstExprKind::kColumn) {
+    const int idx = schema.IndexOf(e->column);
     if (idx < 0)
-      return Status::NotFound("unknown column '" + e.column + "'");
+      return Status::NotFound("unknown column '" + e->column +
+                              "' (have: " + schema.ToString() + ")");
     return vec::VOperand::Column(idx);
   }
-  if (e.kind == AstExprKind::kLiteral)
-    return vec::VOperand::Literal(e.literal);
-  return Status::InvalidArgument("operand shape not vectorizable");
+  if (e->kind == AstExprKind::kLiteral)
+    return vec::VOperand::Literal(e->literal);
+  StatusOr<vec::VectorExprPtr> sub = CompileVectorPredicate(e, schema);
+  if (!sub.ok()) return sub.status();
+  return vec::VOperand::Truth(std::move(*sub));
 }
 
 }  // namespace
 
 StatusOr<vec::VectorExprPtr> CompileVectorPredicate(const AstExprPtr& e,
                                                     const Schema& schema) {
-  TPDB_CHECK(e != nullptr);
+  if (e == nullptr) return Status::InvalidArgument("empty predicate");
   switch (e->kind) {
     case AstExprKind::kColumn:
     case AstExprKind::kLiteral: {
-      StatusOr<vec::VOperand> op = CompileVectorOperand(*e, schema);
+      StatusOr<vec::VOperand> op = CompileVectorOperand(e, schema);
       if (!op.ok()) return op.status();
       return vec::VTruthy(std::move(*op));
     }
     case AstExprKind::kCompare: {
-      StatusOr<vec::VOperand> a = CompileVectorOperand(*e->left, schema);
+      StatusOr<vec::VOperand> a = CompileVectorOperand(e->left, schema);
       if (!a.ok()) return a.status();
-      StatusOr<vec::VOperand> b = CompileVectorOperand(*e->right, schema);
+      StatusOr<vec::VOperand> b = CompileVectorOperand(e->right, schema);
       if (!b.ok()) return b.status();
       const DatumType ta = StaticPredicateType(*e->left, schema);
       const DatumType tb = StaticPredicateType(*e->right, schema);
@@ -192,9 +117,9 @@ StatusOr<vec::VectorExprPtr> CompileVectorPredicate(const AstExprPtr& e,
       return vec::VNot(std::move(*a));
     }
     case AstExprKind::kIsNull: {
-      if (e->left->kind == AstExprKind::kColumn ||
-          e->left->kind == AstExprKind::kLiteral) {
-        StatusOr<vec::VOperand> op = CompileVectorOperand(*e->left, schema);
+      if (e->left != nullptr && (e->left->kind == AstExprKind::kColumn ||
+                                 e->left->kind == AstExprKind::kLiteral)) {
+        StatusOr<vec::VOperand> op = CompileVectorOperand(e->left, schema);
         if (!op.ok()) return op.status();
         return vec::VIsNull(std::move(*op));
       }
@@ -375,142 +300,15 @@ ProbEvalOptions StageProbOptions(const PhysicalNode& stage,
   return opts;
 }
 
-StatusOr<OperatorPtr> LowerPipelineStage(PhysicalNode& stage, OperatorPtr op,
-                                         LineageManager* manager,
-                                         const ProbEvalOptions& prob_base) {
-  const Schema& schema = op->schema();
-  switch (stage.op) {
-    case PhysOp::kFilter: {
-      if (stage.is_prob) {
-        const int lin = schema.IndexOf(kLineageColumn);
-        TPDB_CHECK(lin >= 0);
-        const double threshold = stage.min_prob;
-        const bool strict = stage.min_prob_strict;
-        // One evaluator per operator instance (= per morsel): exact on
-        // decomposable lineage, compiled circuit otherwise, sampled under
-        // APPROX or when the circuit budget blows up. The flusher's last
-        // owner records the methods used on the (shared) physical node.
-        auto evaluator = std::make_shared<ProbabilityEvaluator>(
-            manager, StageProbOptions(stage, prob_base));
-        uint8_t* methods_out = &stage.prob_methods;
-        std::shared_ptr<void> flusher(nullptr,
-                                      [evaluator, methods_out](void*) {
-                                        std::atomic_ref<uint8_t>(*methods_out)
-                                            .fetch_or(
-                                                evaluator->methods_used(),
-                                                std::memory_order_relaxed);
-                                      });
-        ExprPtr prob_pred = Fn(
-            [evaluator, flusher, lin, threshold, strict](
-                const Row& row) -> Datum {
-              const double p = evaluator->Probability(row[lin].AsLineage());
-              return Datum(
-                  static_cast<int64_t>(strict ? p > threshold
-                                              : p >= threshold));
-            },
-            "prob" + std::string(strict ? ">" : ">=") +
-                std::to_string(threshold));
-        return OperatorPtr(
-            std::make_unique<Filter>(std::move(op), std::move(prob_pred)));
-      }
-      StatusOr<ExprPtr> pred = CompilePredicate(stage.predicate, schema);
-      if (!pred.ok()) return pred.status();
-      return OperatorPtr(
-          std::make_unique<Filter>(std::move(op), std::move(*pred)));
-    }
-    case PhysOp::kProject: {
-      StatusOr<ProjectPlan> plan =
-          PlanProjectStage(stage.columns, stage.aliases, schema);
-      if (!plan.ok()) return plan.status();
-      return OperatorPtr(std::make_unique<Project>(
-          std::move(op), std::move(plan->indices), std::move(plan->names)));
-    }
-    case PhysOp::kSort: {
-      bool any_prob = false;
-      for (const OrderItem& item : stage.order_by)
-        any_prob |= item.column == kProbColumn;
-      if (any_prob) {
-        // ORDER BY over the virtual probability column: probabilities are
-        // computed through the evaluation ladder, not read from a column.
-        std::vector<ProbSortKey> keys;
-        for (const OrderItem& item : stage.order_by) {
-          ProbSortKey key;
-          key.ascending = item.ascending;
-          if (item.column == kProbColumn) {
-            key.is_prob = true;
-          } else {
-            const int idx = schema.IndexOf(item.column);
-            if (idx < 0)
-              return Status::NotFound("unknown ORDER BY column '" +
-                                      item.column + "'");
-            key.column = idx;
-          }
-          keys.push_back(key);
-        }
-        return OperatorPtr(std::make_unique<ProbSort>(
-            std::move(op), manager, std::move(keys),
-            StageProbOptions(stage, prob_base), &stage.prob_methods));
-      }
-      std::vector<SortKey> keys;
-      for (const OrderItem& item : stage.order_by) {
-        const int idx = schema.IndexOf(item.column);
-        if (idx < 0)
-          return Status::NotFound("unknown ORDER BY column '" + item.column +
-                                  "'");
-        keys.push_back(SortKey{idx, item.ascending});
-      }
-      return OperatorPtr(
-          std::make_unique<Sort>(std::move(op), std::move(keys)));
-    }
-    case PhysOp::kLimit:
-      return OperatorPtr(std::make_unique<Limit>(
-          std::move(op), static_cast<size_t>(stage.limit),
-          static_cast<size_t>(stage.offset)));
-    default:
-      return Status::Internal("non-pipelined node in chain");
-  }
-}
-
 bool IsRowLocalStage(const PhysicalNode& stage) {
   return stage.op == PhysOp::kFilter || stage.op == PhysOp::kProject;
 }
 
-size_t CountBatchStages(Schema schema,
-                        const std::vector<PhysicalNode*>& stages,
-                        bool row_local_only, Schema* out_schema) {
-  size_t n = 0;
-  for (const PhysicalNode* stage : stages) {
-    switch (stage->op) {
-      case PhysOp::kFilter:
-        if (!stage->is_prob &&
-            !CompileVectorPredicate(stage->predicate, schema).ok())
-          goto done;
-        break;
-      case PhysOp::kProject: {
-        StatusOr<ProjectPlan> plan =
-            PlanProjectStage(stage->columns, stage->aliases, schema);
-        if (!plan.ok()) goto done;
-        schema = ProjectOutputSchema(*plan, schema);
-        break;
-      }
-      case PhysOp::kLimit:
-        if (row_local_only) goto done;
-        break;
-      default:
-        goto done;
-    }
-    ++n;
-  }
-done:
-  if (out_schema != nullptr) *out_schema = std::move(schema);
-  return n;
-}
-
-vec::BatchOperatorPtr LowerBatchStages(
+StatusOr<vec::BatchOperatorPtr> LowerBatchStages(
     vec::BatchOperatorPtr op, const std::vector<PhysicalNode*>& stages,
-    size_t count, LineageManager* manager, VectorStats* vstats,
+    size_t first, size_t last, LineageManager* manager, VectorStats* vstats,
     ExecStats* stats, const ProbEvalOptions& prob_base) {
-  for (size_t i = 0; i < count; ++i) {
+  for (size_t i = first; i < last; ++i) {
     PhysicalNode& stage = *stages[i];
     switch (stage.op) {
       case PhysOp::kFilter: {
@@ -523,7 +321,7 @@ vec::BatchOperatorPtr LowerBatchStages(
         }
         StatusOr<vec::VectorExprPtr> pred =
             CompileVectorPredicate(stage.predicate, op->schema());
-        TPDB_CHECK(pred.ok()) << pred.status().ToString();
+        if (!pred.ok()) return pred.status();
         op = std::make_unique<vec::BatchFilter>(std::move(op),
                                                 std::move(*pred), vstats);
         break;
@@ -531,7 +329,7 @@ vec::BatchOperatorPtr LowerBatchStages(
       case PhysOp::kProject: {
         StatusOr<ProjectPlan> plan =
             PlanProjectStage(stage.columns, stage.aliases, op->schema());
-        TPDB_CHECK(plan.ok()) << plan.status().ToString();
+        if (!plan.ok()) return plan.status();
         op = std::make_unique<vec::BatchProject>(
             std::move(op), std::move(plan->indices), std::move(plan->names));
         break;
@@ -542,7 +340,7 @@ vec::BatchOperatorPtr LowerBatchStages(
             static_cast<size_t>(stage.offset), vstats);
         break;
       default:
-        TPDB_CHECK(false) << "non-batch stage in pre-validated chain";
+        return Status::Internal("non-batch stage in a batch run");
     }
     if (stats != nullptr) {
       NodeStats* node = stats->AddNode(stage.Label() + " (vec)");
@@ -551,6 +349,71 @@ vec::BatchOperatorPtr LowerBatchStages(
     }
   }
   return op;
+}
+
+StatusOr<Table> SortTable(PhysicalNode& stage, Table input,
+                          LineageManager* manager, ExecStats* stats,
+                          const ProbEvalOptions& prob_base) {
+  struct Key {
+    int column;  ///< -1 = the virtual probability column
+    bool ascending;
+  };
+  std::vector<Key> keys;
+  bool any_prob = false;
+  for (const OrderItem& item : stage.order_by) {
+    int column = -1;
+    if (item.column == kProbColumn) {
+      any_prob = true;
+    } else {
+      column = input.schema.IndexOf(item.column);
+      if (column < 0)
+        return Status::NotFound("unknown ORDER BY column '" + item.column +
+                                "'");
+    }
+    keys.push_back(Key{column, item.ascending});
+  }
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<Row>& rows = input.rows;
+  // ORDER BY over the virtual probability column: probabilities are
+  // computed through the evaluation ladder, not read from a column.
+  std::vector<double> probs;
+  if (any_prob) {
+    const int lin = input.schema.IndexOf(kLineageColumn);
+    TPDB_CHECK_GE(lin, 0);
+    ProbabilityEvaluator evaluator(manager, StageProbOptions(stage, prob_base));
+    probs.reserve(rows.size());
+    for (const Row& row : rows)
+      probs.push_back(evaluator.Probability(row[lin].AsLineage()));
+    stage.prob_methods |= evaluator.methods_used();
+  }
+  // A stable sort of row positions, so equal keys keep their input order.
+  std::vector<size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    for (const Key& key : keys) {
+      const int c = key.column < 0
+                        ? (probs[x] < probs[y] ? -1 : probs[x] > probs[y])
+                        : rows[x][key.column].Compare(rows[y][key.column]);
+      if (c != 0) return key.ascending ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  Table out;
+  out.schema = std::move(input.schema);
+  out.rows.reserve(order.size());
+  for (const size_t i : order) out.rows.push_back(std::move(input.rows[i]));
+
+  if (stats != nullptr) {
+    NodeStats* slot = stats->AddNode(stage.Label());
+    stage.actual = slot;
+    slot->rows = out.rows.size();
+    slot->open_calls = 1;
+    slot->seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  }
+  return out;
 }
 
 storage::ScanPredicate CollectColdScanPredicate(
@@ -601,10 +464,6 @@ ChainExec CollectExecChain(PhysicalNode* top) {
   chain.stages.assign(top_down.rbegin(), top_down.rend());
   if (exchange != nullptr)
     chain.parallel_prefix = top_down.size() - above_exchange;
-  for (PhysicalNode* stage : chain.stages) {
-    if (stage->mode != ExecMode::kBatch) break;
-    ++chain.batch_prefix;
-  }
   return chain;
 }
 

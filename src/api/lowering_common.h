@@ -1,9 +1,9 @@
 // Shared lowering helpers — the single home of the resolution and
-// compilation logic used by every PhysicalPlan executor (row, batch, cold,
-// parallel) and by the optimizer passes. One ProjectPlan / AggPlan /
-// scan-predicate implementation means the row and batch paths validate
-// identically and report identical errors, which is what the parity suite
-// leans on.
+// compilation logic used by every PhysicalPlan executor (warm, cold,
+// serial, parallel, top-k) and by the optimizer passes. One predicate
+// compiler, one ProjectPlan / AggPlan and one scan-predicate
+// implementation means every route validates identically and reports
+// identical errors.
 #ifndef TPDB_API_LOWERING_COMMON_H_
 #define TPDB_API_LOWERING_COMMON_H_
 
@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "engine/explain.h"
 #include "engine/expr.h"
-#include "engine/operator.h"
 #include "engine/vector/batch_operator.h"
 #include "engine/vector/batch_ops.h"
 #include "engine/vector/predicate.h"
@@ -42,24 +41,16 @@ DatumType StaticPredicateType(const AstExpr& e, const Schema& schema);
 
 bool DatumToDouble(const Datum& d, double* out);
 
-/// Comparison with numeric promotion: int64 and double operands are
-/// compared as doubles (Datum::Compare alone orders by type rank).
-ExprPtr PromotedCompare(CompareOp op, ExprPtr a, ExprPtr b);
-
-/// Compiles a predicate AST into an engine expression over `schema`.
-StatusOr<ExprPtr> CompilePredicate(const AstExprPtr& e, const Schema& schema);
-
-/// Compiles a predicate AST into a vectorized expression over `schema`,
-/// with the same column resolution and numeric-promotion decisions as
-/// CompilePredicate. Shapes the vector evaluator does not cover return an
-/// error and the stage stays on the row path — which also owns the
-/// user-facing error reporting for genuinely malformed predicates.
+/// Compiles a predicate AST into a vectorized expression over `schema`.
+/// Every AST shape compiles: a comparison operand may itself be a
+/// predicate, compared by its Kleene value as int64 0/1 or NULL. Unknown
+/// columns are NotFound, naming the schema's columns.
 StatusOr<vec::VectorExprPtr> CompileVectorPredicate(const AstExprPtr& e,
                                                     const Schema& schema);
 
 /// Resolved form of one projection stage: source indices and output names
 /// (the reserved interval/lineage columns ride along at the end). Shared
-/// by the row and batch lowerings so both validate identically.
+/// by the binder, the pushdown pass and the batch lowering.
 struct ProjectPlan {
   std::vector<int> indices;
   std::vector<std::string> names;
@@ -86,7 +77,7 @@ std::string AggOutputName(const SelectItem& item);
 
 /// Resolved aggregate: group/aggregate column indices (into the fact
 /// schema — which equals the flattened prefix) and the output fact
-/// columns. Shared by the row and batch aggregate paths so both validate
+/// columns. Shared by the tuple and batch aggregates so both validate
 /// identically.
 struct AggPlan {
   std::vector<int> group_idx;
@@ -105,41 +96,37 @@ vec::BatchAggFn MapAggFn(AggFn fn);
 //
 // A "stage" here is one pipelined physical node (PhysFilter / PhysProject /
 // PhysSort / PhysLimit) in bottom-up order — the order rows flow through
-// them. The executors collect the maximal chain above a source and hand it
-// to these helpers.
-
-/// Lowers ONE pipelined physical stage onto `op`. Pure (no planner state),
-/// so the parallel driver can instantiate the same chain once per morsel.
-/// `prob_base` carries the planner's probability-evaluation knobs (circuit
-/// budget, sampling seed); the stage's own APPROX contract is layered on
-/// top of it. Probability stages record the evaluation methods they used on
-/// the physical node (atomically — morsel instances share the node).
-StatusOr<OperatorPtr> LowerPipelineStage(PhysicalNode& stage,
-                                         OperatorPtr op,
-                                         LineageManager* manager,
-                                         const ProbEvalOptions& prob_base = {});
+// them. The executors collect the maximal chain above a source and lower
+// it: every stage but a sort onto a batch operator; a sort is a barrier
+// that materializes its input, sorts it, and hands the sorted table to the
+// stages above.
 
 /// True for stages that decide each row independently — the ones the
 /// parallel pipeline drivers may run per-morsel with an ordered merge.
 bool IsRowLocalStage(const PhysicalNode& stage);
 
-/// How many leading stages the batch path can lower over a source with
-/// `schema` — filters with vectorizable predicates, projections,
-/// probability thresholds, and (unless `row_local_only`, the parallel
-/// driver's constraint) limits. Tracks the schema across projections;
-/// `out_schema`, when given, receives the schema after the lowered run.
-size_t CountBatchStages(Schema schema,
-                        const std::vector<PhysicalNode*>& stages,
-                        bool row_local_only, Schema* out_schema = nullptr);
-
-/// Lowers exactly `count` leading stages — pre-validated by
-/// CountBatchStages — onto batch operators over `op`. With `stats`, each
-/// stage is instrumented as a "(vec)" node whose NodeStats slot is also
-/// recorded on the stage's physical node for the Explain tree.
-vec::BatchOperatorPtr LowerBatchStages(
+/// Lowers stages [first, last) — none of them a sort — onto batch
+/// operators over `op`. Pure (no planner state), so the parallel driver
+/// can instantiate the same chain once per morsel. `prob_base` carries the
+/// planner's probability-evaluation knobs (circuit budget, sampling seed);
+/// a stage's own APPROX contract is layered on top of it. With `stats`,
+/// each stage is instrumented as a "(vec)" node whose NodeStats slot is
+/// also recorded on the stage's physical node for the Explain tree.
+/// Malformed stages (unknown columns) return their error.
+StatusOr<vec::BatchOperatorPtr> LowerBatchStages(
     vec::BatchOperatorPtr op, const std::vector<PhysicalNode*>& stages,
-    size_t count, LineageManager* manager, VectorStats* vstats,
+    size_t first, size_t last, LineageManager* manager, VectorStats* vstats,
     ExecStats* stats, const ProbEvalOptions& prob_base = {});
+
+/// Runs one sort stage over `input`: a stable sort on ORDER BY columns
+/// and the virtual `_prob` column, whose probabilities come from the
+/// evaluation ladder (the stage records the methods it used). The pruned
+/// top-k path is an optimization of the `_prob DESC LIMIT k` shape with
+/// this sort as its parity baseline. With `stats`, the sort reports into a
+/// node of its own, recorded on the stage.
+StatusOr<Table> SortTable(PhysicalNode& stage, Table input,
+                          LineageManager* manager, ExecStats* stats,
+                          const ProbEvalOptions& prob_base = {});
 
 /// The per-stage evaluation options: the planner's base knobs plus the
 /// stage's APPROX(eps, delta) contract, when it carries one.
@@ -157,12 +144,11 @@ storage::ScanPredicate CollectColdScanPredicate(
 
 /// One pipelined chain as the executors see it: bottom-up stages, the
 /// exchange marker (when the mode pass inserted one) with the number of
-/// stages it covers, the leading batch-mode stage count, and the source.
+/// stages it covers, and the source.
 struct ChainExec {
   std::vector<PhysicalNode*> stages;  ///< bottom-up
   PhysicalNode* exchange = nullptr;
   size_t parallel_prefix = 0;  ///< stages under the exchange
-  size_t batch_prefix = 0;     ///< leading stages with mode == kBatch
   PhysicalNode* source = nullptr;
 };
 

@@ -36,8 +36,8 @@ AstExprPtr BoolLiteral(bool value) {
   return AstLiteral(Datum(static_cast<int64_t>(value ? 1 : 0)));
 }
 
-/// Folds a comparison of two literals exactly as CompareExpr /
-/// PromotedCompare evaluate it.
+/// Folds a comparison of two literals exactly as CompareExpr and the
+/// vector predicate's numeric promotion evaluate it.
 AstExprPtr FoldLiteralCompare(CompareOp op, const Datum& a, const Datum& b) {
   if (a.is_null() || b.is_null()) return AstLiteral(Datum::Null());
   const bool numeric_mix =

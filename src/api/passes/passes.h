@@ -25,18 +25,16 @@
 //      drop identity projections.
 //   4. SelectModesPass        — the cost model: estimate per-node
 //      cardinalities (cold scans via zone maps — EstimateScanRows over the
-//      pushed predicate), cost row vs batch execution of every pipeline,
-//      annotate each stage and source with its chosen ExecMode (PhysScan
-//      becomes PhysBatchScan on the batch path), and insert PhysExchange
-//      over row-local prefixes worth running on the morsel drivers. This
-//      replaces the hard-coded `vectorize` / `parallelism` branching of
-//      the pre-IR planner; the PlannerOptions knobs survive as overrides
-//      (vectorize=false pins the row path bit-for-bit, =true forces the
-//      batch path where it applies, unset picks by cost).
+//      pushed predicate), annotate each stage with its ExecMode (batch
+//      for filter / project / limit, row for a sort) and each catalog
+//      source read as batches as a PhysBatchScan, pick the batch
+//      aggregate over chains that start at a catalog relation and the
+//      tuple aggregate elsewhere, and insert PhysExchange over row-local
+//      prefixes worth running on the morsel drivers.
 //
 // Every pass preserves results element-wise (values, intervals, exact
 // probabilities, emit order) — the physical-plan parity suite sweeps
-// optimize on/off × modes to prove it.
+// optimize on/off × parallelism to prove it.
 #ifndef TPDB_API_PASSES_PASSES_H_
 #define TPDB_API_PASSES_PASSES_H_
 

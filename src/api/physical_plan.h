@@ -3,15 +3,15 @@
 // catalog into a typed physical-operator tree, runs the pass pipeline over
 // it (api/passes/: constant folding, predicate & probability-threshold
 // pushdown, projection pruning, zone-map-costed mode selection), and then
-// executes the annotated tree. Row, batch and parallel execution are no
-// longer separate lowerings: they are per-node annotations of ONE tree —
+// executes the annotated tree. Batch and parallel execution are not
+// separate lowerings: they are per-node annotations of ONE tree —
 //
-//   PhysScan / PhysBatchScan   a catalog source (row- or batch-mode; cold
+//   PhysScan / PhysBatchScan   a catalog source (whole or batch-mode; cold
 //                              sources carry the pushed-down ScanPredicate
 //                              the zone maps prune on)
 //   PhysFilter                 σ — a predicate or a probability threshold
 //   PhysProject / PhysSort / PhysLimit
-//   PhysAggregate              grouped aggregation (row or batch mode)
+//   PhysAggregate              grouped aggregation (tuple or batch mode)
 //   PhysTPJoin                 lineage-aware TP join (tp/operators.h)
 //   PhysAlign                  temporal-alignment strategy join
 //                              (baseline/ta_join.h)
@@ -44,7 +44,7 @@ class TPDatabase;
 
 /// Node types of the physical algebra.
 enum class PhysOp {
-  kScan,        ///< row-mode source: warm TableScan or cold SegmentScan
+  kScan,        ///< catalog source read as a whole relation or table
   kBatchScan,   ///< batch-mode source: TableBatchScan or SegmentBatchScan
   kFilter,      ///< predicate filter or probability threshold
   kProject,

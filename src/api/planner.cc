@@ -17,7 +17,6 @@
 #include "baseline/ta_join.h"
 #include "engine/materialize.h"
 #include "engine/scan.h"
-#include "engine/vector/adapters.h"
 #include "engine/vector/batch_ops.h"
 #include "exec/exec_context.h"
 #include "exec/parallel.h"
@@ -99,63 +98,51 @@ ProbEvalOptions BaseProbOptions(const PlannerOptions& options) {
   return prob;
 }
 
-/// Lowers stages [first, stages.size()) on the row path over `op`,
-/// instrumenting each stage into `stats` when given.
-StatusOr<OperatorPtr> LowerRowTail(OperatorPtr op,
-                                   const std::vector<PhysicalNode*>& stages,
-                                   size_t first, LineageManager* manager,
-                                   ExecStats* stats,
-                                   const ProbEvalOptions& prob_base) {
-  for (size_t i = first; i < stages.size(); ++i) {
-    StatusOr<OperatorPtr> next =
-        LowerPipelineStage(*stages[i], std::move(op), manager, prob_base);
-    if (!next.ok()) return next.status();
-    op = std::move(*next);
-    if (stats != nullptr) {
-      NodeStats* slot = stats->AddNode(stages[i]->Label());
-      stages[i]->actual = slot;
-      op = Instrument(slot, std::move(op));
-    }
-  }
-  return op;
-}
-
-/// Runs the instrumented row-path stages [first, stages.size()) over
-/// `table` — the serial tail of a chain whose prefix the parallel driver
-/// merged.
-StatusOr<TPRelation> FinishRowTailOverTable(
-    std::string name, Table table, const std::vector<PhysicalNode*>& stages,
-    size_t first, LineageManager* manager, ExecStats* stats,
-    const ProbEvalOptions& prob_base) {
-  if (first == stages.size())
-    return TPRelation::FromTable(std::move(name), table, manager);
-  StatusOr<OperatorPtr> tail =
-      LowerRowTail(std::make_unique<TableScan>(&table), stages, first,
-                   manager, stats, prob_base);
-  if (!tail.ok()) return tail.status();
-  const Table out = Materialize(tail->get());
-  return TPRelation::FromTable(std::move(name), out, manager);
-}
-
-/// The serial tail of a batch chain: materialize directly when every
-/// stage lowered batch, else adapter + instrumented row stages.
-StatusOr<Table> FinishBatchTail(vec::BatchOperatorPtr op,
-                                const ChainExec& chain,
-                                LineageManager* manager, VectorStats* vstats,
-                                ExecStats* stats,
-                                const ProbEvalOptions& prob_base) {
-  if (chain.batch_prefix == chain.stages.size())
-    return vec::MaterializeBatches(op.get(), vstats);
-  OperatorPtr rop =
-      std::make_unique<vec::BatchToRowAdapter>(std::move(op), vstats);
-  StatusOr<OperatorPtr> tail =
-      LowerRowTail(std::move(rop), chain.stages, chain.batch_prefix, manager,
-                   stats, prob_base);
-  if (!tail.ok()) return tail.status();
-  return Materialize(tail->get());
-}
-
 }  // namespace
+
+/// One chain's execution state. Its rows between stages are materialized
+/// (a warm source, a sort's output, a parallel region's ordered merge) or
+/// a batch pipeline not yet pulled: batch stages pull them as batches, a
+/// sort and the chain's consumer take them as a table. It also carries the
+/// source's name and lineage manager and the counters the chain's
+/// operators report into.
+struct ChainRun {
+  std::string name;
+  LineageManager* manager = nullptr;
+  std::unique_ptr<Table> table;
+  vec::BatchOperatorPtr op;
+  VectorStats vector;
+  StorageStats storage;
+  bool cold = false;
+  NodeStats* cold_scan = nullptr;  ///< serial cold source, filled by Report
+
+  vec::BatchOperatorPtr TakeBatches() {
+    if (op == nullptr)
+      return std::make_unique<vec::TableBatchScan>(std::move(table), &vector);
+    return std::move(op);
+  }
+  /// The rows as a table; `last` counts them as the chain's output.
+  Table TakeTable(bool last) {
+    VectorStats* emitted = last ? &vector : nullptr;
+    if (op != nullptr) {
+      const vec::BatchOperatorPtr pulled = std::move(op);
+      return vec::MaterializeBatches(pulled.get(), emitted);
+    }
+    if (emitted != nullptr) emitted->rows_emitted += table->rows.size();
+    return std::move(*table);
+  }
+  /// Publishes the counters once the chain's rows have been pulled.
+  void Report(ExecStats* stats) const {
+    if (stats == nullptr) return;
+    if (cold_scan != nullptr) {
+      cold_scan->rows = storage.rows_decoded;
+      cold_scan->open_calls = 1;
+      cold_scan->seconds = storage.decode_seconds;
+    }
+    if (cold) stats->AddStorage(storage);
+    stats->AddVector(vector);
+  }
+};
 
 Planner::Planner(TPDatabase* db, PlannerOptions options)
     : db_(db), options_(std::move(options)) {
@@ -346,11 +333,115 @@ StatusOr<Planner::EvalResult> Planner::ExecSetOp(PhysicalNode* node,
   return EvalResult{std::move(*result), nullptr};
 }
 
-StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
-                                                    ExecStats* stats) {
-  ChainExec chain = CollectExecChain(top);
+Status Planner::RunChain(const ChainExec& chain, ChainRun* run,
+                         ExecStats* stats) {
   PhysicalNode* source = chain.source;
   const ProbEvalOptions prob_base = BaseProbOptions(options_);
+  const storage::SegmentedTable* cold =
+      IsCatalogSource(*source) && source->cold
+          ? source->rel->cold_storage().get()
+          : nullptr;
+  run->cold = cold != nullptr;
+  if (IsCatalogSource(*source)) {
+    run->name = source->rel->name();
+    run->manager = source->rel->manager();
+    if (cold == nullptr) {
+      ReportNode(stats, source, source->Label(), source->rel->size(), 0.0);
+      run->table = std::make_unique<Table>(source->rel->ToTable());
+    }
+  } else {
+    StatusOr<EvalResult> base = ExecNode(source, stats);
+    if (!base.ok()) return base.status();
+    run->name = base->rel().name();
+    run->manager = base->rel().manager();
+    run->table = std::make_unique<Table>(base->rel().ToTable());
+  }
+
+  // The exchange's row-local prefix runs per morsel — whole segments of a
+  // cold source, row ranges of a table — with an ordered merge, so the
+  // merged table is the serial scan order. Zone-map pruning composes per
+  // morsel, and the per-morsel counters merge into the run's.
+  size_t next = 0;  // first stage not yet lowered
+  const size_t input_rows =
+      cold != nullptr ? cold->num_rows() : run->table->rows.size();
+  if (chain.exchange != nullptr && ctx_ != nullptr &&
+      ctx_->ShouldParallelize(input_rows)) {
+    const std::vector<Morsel> morsels =
+        cold != nullptr
+            ? MakeMorsels(cold->segments().size(), 1,
+                          static_cast<size_t>(ctx_->parallelism()) * 4)
+            : MakeMorsels(input_rows, ctx_->options().morsel_size);
+    if (morsels.size() >= 2) {
+      std::vector<StorageStats> morsel_storage(morsels.size());
+      std::vector<VectorStats> morsel_vector(morsels.size());
+      const Table* table = run->table.get();
+      const Clock::time_point start = Clock::now();
+      StatusOr<Table> merged = ParallelBatchPipeline(
+          ctx_, morsels.size(),
+          [&](size_t i) -> StatusOr<vec::BatchOperatorPtr> {
+            if (cold != nullptr)
+              return vec::BatchOperatorPtr(
+                  std::make_unique<storage::SegmentBatchScan>(
+                      cold, source->scan_predicate, morsels[i].begin,
+                      morsels[i].end, &morsel_storage[i], &morsel_vector[i]));
+            return vec::BatchOperatorPtr(std::make_unique<vec::TableBatchScan>(
+                table, morsels[i].begin, morsels[i].end, &morsel_vector[i]));
+          },
+          [&](vec::BatchOperatorPtr src) {
+            return LowerBatchStages(std::move(src), chain.stages, 0,
+                                    chain.parallel_prefix, run->manager,
+                                    nullptr, nullptr, prob_base);
+          });
+      if (!merged.ok()) return merged.status();
+      for (const StorageStats& c : morsel_storage) run->storage.Merge(c);
+      for (const VectorStats& v : morsel_vector) run->vector.Merge(v);
+      if (cold != nullptr)
+        ReportNode(stats, source, source->Label() + " (cold)",
+                   run->storage.rows_decoded, run->storage.decode_seconds);
+      ReportNode(stats, chain.exchange, chain.exchange->Label(),
+                 merged->rows.size(), SecondsSince(start));
+      run->table = std::make_unique<Table>(std::move(*merged));
+      next = chain.parallel_prefix;
+    }
+  }
+  if (cold != nullptr && next == 0) {
+    // Serial cold read: the chunk-level batch scan streams the segments.
+    if (stats != nullptr) {
+      run->cold_scan = stats->AddNode(source->Label() + " (cold)");
+      source->actual = run->cold_scan;
+    }
+    run->op = std::make_unique<storage::SegmentBatchScan>(
+        cold, source->scan_predicate, &run->storage, &run->vector);
+  }
+
+  // The remaining stages: runs of batch stages, and sorts between them.
+  while (next < chain.stages.size()) {
+    PhysicalNode* stage = chain.stages[next];
+    if (stage->op == PhysOp::kSort) {
+      StatusOr<Table> sorted = SortTable(*stage, run->TakeTable(false),
+                                         run->manager, stats, prob_base);
+      if (!sorted.ok()) return sorted.status();
+      run->table = std::make_unique<Table>(std::move(*sorted));
+      ++next;
+      continue;
+    }
+    size_t last = next;
+    while (last < chain.stages.size() &&
+           chain.stages[last]->op != PhysOp::kSort)
+      ++last;
+    StatusOr<vec::BatchOperatorPtr> lowered =
+        LowerBatchStages(run->TakeBatches(), chain.stages, next, last,
+                         run->manager, &run->vector, stats, prob_base);
+    if (!lowered.ok()) return lowered.status();
+    run->op = std::move(*lowered);
+    next = last;
+  }
+  return Status::OK();
+}
+
+StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
+                                                    ExecStats* stats) {
+  const ChainExec chain = CollectExecChain(top);
 
   // `ORDER BY _prob DESC LIMIT k` chains take the pruned top-k path when
   // they fit its shape (catalog source, row-local stages under the sort).
@@ -360,235 +451,14 @@ StatusOr<Planner::EvalResult> Planner::ExecPipeline(PhysicalNode* top,
     if (topk->has_value()) return std::move(**topk);
   }
 
-  // -- Cold catalog chains read the mapped segments directly. ------------
-  if (IsCatalogSource(*source) && source->cold) {
-    const storage::SegmentedTable* table = source->rel->cold_storage().get();
-    LineageManager* manager = source->rel->manager();
-    const storage::ScanPredicate& predicate = source->scan_predicate;
-
-    if (chain.batch_prefix > 0) {
-      // Parallel: morsels of whole segments run the row-local batch
-      // prefix independently (zone-map pruning composes per morsel); the
-      // merged table — in segment order, i.e. the serial scan order —
-      // feeds any remaining stages on the row path. Per-morsel storage
-      // and vector counters merge into the explain registry, so pruning
-      // is reported even on the parallel route.
-      if (chain.exchange != nullptr && ctx_ != nullptr &&
-          ctx_->ShouldParallelize(table->num_rows()) &&
-          table->segments().size() >= 2) {
-        const size_t lowered = chain.parallel_prefix;
-        const size_t max_morsels =
-            static_cast<size_t>(ctx_->parallelism()) * 4;
-        const std::vector<Morsel> morsels =
-            MakeMorsels(table->segments().size(), 1, max_morsels);
-        std::vector<StorageStats> counters(morsels.size());
-        std::vector<VectorStats> vcounters(morsels.size());
-        const Clock::time_point start = Clock::now();
-        StatusOr<Table> merged = ParallelBatchPipeline(
-            ctx_, morsels.size(),
-            [&](size_t i) -> StatusOr<vec::BatchOperatorPtr> {
-              return vec::BatchOperatorPtr(
-                  std::make_unique<storage::SegmentBatchScan>(
-                      table, predicate, morsels[i].begin, morsels[i].end,
-                      &counters[i], &vcounters[i]));
-            },
-            [&](vec::BatchOperatorPtr src)
-                -> StatusOr<vec::BatchOperatorPtr> {
-              return LowerBatchStages(std::move(src), chain.stages, lowered,
-                                      manager, nullptr, nullptr, prob_base);
-            });
-        if (!merged.ok()) return merged.status();
-        if (stats != nullptr) {
-          StorageStats storage;
-          VectorStats vstats;
-          for (const StorageStats& c : counters) storage.Merge(c);
-          for (const VectorStats& v : vcounters) vstats.Merge(v);
-          vstats.rows_emitted += merged->rows.size();
-          NodeStats* scan_stats = ReportNode(
-              stats, source, source->Label() + " (cold)",
-              storage.rows_decoded, storage.decode_seconds);
-          scan_stats->open_calls = 1;
-          stats->AddStorage(storage);
-          stats->AddVector(vstats);
-          ReportNode(stats, chain.exchange, chain.exchange->Label(),
-                     merged->rows.size(), SecondsSince(start));
-        }
-        StatusOr<TPRelation> result = FinishRowTailOverTable(
-            source->rel->name(), std::move(*merged), chain.stages, lowered,
-            manager, stats, prob_base);
-        if (!result.ok()) return result.status();
-        return EvalResult{std::move(*result), nullptr};
-      }
-
-      // Serial: chunk-level batch scan → lowered batch stages → (adapter
-      // + remaining row stages, when the chain has a non-batch tail).
-      VectorStats vstats;
-      StorageStats counters;
-      NodeStats* scan_stats =
-          stats != nullptr ? stats->AddNode(source->Label() + " (cold)")
-                           : nullptr;
-      if (scan_stats != nullptr) source->actual = scan_stats;
-      vec::BatchOperatorPtr op = std::make_unique<storage::SegmentBatchScan>(
-          table, predicate, &counters, &vstats);
-      op = LowerBatchStages(std::move(op), chain.stages, chain.batch_prefix,
-                            manager, &vstats, stats, prob_base);
-      StatusOr<Table> out = FinishBatchTail(std::move(op), chain, manager,
-                                            &vstats, stats, prob_base);
-      if (!out.ok()) return out.status();
-      if (stats != nullptr) {
-        scan_stats->rows = counters.rows_decoded;
-        scan_stats->open_calls = 1;
-        scan_stats->seconds = counters.decode_seconds;
-        stats->AddStorage(counters);
-        stats->AddVector(vstats);
-      }
-      StatusOr<TPRelation> result =
-          TPRelation::FromTable(source->rel->name(), *out, manager);
-      if (!result.ok()) return result.status();
-      return EvalResult{std::move(*result), nullptr};
-    }
-
-    // Row-mode cold chain (serial — the decode already dominates).
-    StorageStats counters;
-    NodeStats* scan_stats =
-        stats != nullptr ? stats->AddNode(source->Label() + " (cold)")
-                         : nullptr;
-    if (scan_stats != nullptr) source->actual = scan_stats;
-    StatusOr<OperatorPtr> lowered = LowerRowTail(
-        std::make_unique<storage::SegmentScan>(table, predicate, &counters),
-        chain.stages, 0, manager, stats, prob_base);
-    if (!lowered.ok()) return lowered.status();
-    const Table out = Materialize(lowered->get());
-    if (stats != nullptr) {
-      scan_stats->rows = counters.rows_decoded;
-      scan_stats->open_calls = 1;
-      scan_stats->seconds = counters.decode_seconds;
-      stats->AddStorage(counters);
-    }
-    StatusOr<TPRelation> result =
-        TPRelation::FromTable(source->rel->name(), out, manager);
-    if (!result.ok()) return result.status();
-    return EvalResult{std::move(*result), nullptr};
-  }
-
-  // -- Warm chains run over the flattened table of their source. ---------
-  std::string name;
-  LineageManager* manager = nullptr;
-  auto table = std::make_unique<Table>();
-  if (IsCatalogSource(*source)) {
-    name = source->rel->name();
-    manager = source->rel->manager();
-    ReportNode(stats, source, source->Label(), source->rel->size(), 0.0);
-    *table = source->rel->ToTable();
-  } else {
-    StatusOr<EvalResult> base = ExecNode(source, stats);
-    if (!base.ok()) return base.status();
-    name = base->rel().name();
-    manager = base->rel().manager();
-    *table = base->rel().ToTable();
-  }
-
-  if (chain.batch_prefix > 0) {
-    // Parallel: contiguous morsels of the flattened table through the
-    // row-local batch prefix, ordered merge, remaining stages on the row
-    // path.
-    if (chain.exchange != nullptr && ctx_ != nullptr &&
-        ctx_->ShouldParallelize(table->rows.size())) {
-      const std::vector<Morsel> morsels =
-          MakeMorsels(table->rows.size(), ctx_->options().morsel_size);
-      if (morsels.size() >= 2) {
-        const size_t lowered = chain.parallel_prefix;
-        std::vector<VectorStats> vcounters(morsels.size());
-        const Clock::time_point start = Clock::now();
-        StatusOr<Table> merged = ParallelBatchPipeline(
-            ctx_, morsels.size(),
-            [&](size_t i) -> StatusOr<vec::BatchOperatorPtr> {
-              return vec::BatchOperatorPtr(
-                  std::make_unique<vec::TableBatchScan>(
-                      table.get(), morsels[i].begin, morsels[i].end,
-                      &vcounters[i]));
-            },
-            [&](vec::BatchOperatorPtr src)
-                -> StatusOr<vec::BatchOperatorPtr> {
-              return LowerBatchStages(std::move(src), chain.stages, lowered,
-                                      manager, nullptr, nullptr, prob_base);
-            });
-        if (!merged.ok()) return merged.status();
-        if (stats != nullptr) {
-          VectorStats vstats;
-          for (const VectorStats& v : vcounters) vstats.Merge(v);
-          vstats.rows_emitted += merged->rows.size();
-          stats->AddVector(vstats);
-          ReportNode(stats, chain.exchange, chain.exchange->Label(),
-                     merged->rows.size(), SecondsSince(start));
-        }
-        StatusOr<TPRelation> result = FinishRowTailOverTable(
-            name, std::move(*merged), chain.stages, lowered, manager, stats,
-            prob_base);
-        if (!result.ok()) return result.status();
-        return EvalResult{std::move(*result), nullptr};
-      }
-    }
-
-    // Serial batch.
-    VectorStats vstats;
-    vec::BatchOperatorPtr op =
-        std::make_unique<vec::TableBatchScan>(table.get(), &vstats);
-    op = LowerBatchStages(std::move(op), chain.stages, chain.batch_prefix,
-                          manager, &vstats, stats, prob_base);
-    StatusOr<Table> out = FinishBatchTail(std::move(op), chain, manager,
-                                          &vstats, stats, prob_base);
-    if (!out.ok()) return out.status();
-    if (stats != nullptr) stats->AddVector(vstats);
-    StatusOr<TPRelation> result = TPRelation::FromTable(name, *out, manager);
-    if (!result.ok()) return result.status();
-    return EvalResult{std::move(*result), nullptr};
-  }
-
-  // Row path: the exchange's row-local prefix goes through the parallel
-  // driver (each morsel runs its own chain instance; outputs merge in
-  // morsel order, matching the serial pipeline exactly); sort, limit and
-  // everything above stay serial.
-  size_t first_serial_stage = 0;
-  if (chain.exchange != nullptr && ctx_ != nullptr &&
-      ctx_->ShouldParallelize(table->rows.size())) {
-    const size_t row_local = chain.parallel_prefix;
-    const Clock::time_point start = Clock::now();
-    StatusOr<Table> out = ParallelPipeline(
-        ctx_, *table,
-        [&chain, row_local, manager,
-         &prob_base](OperatorPtr source_op) -> StatusOr<OperatorPtr> {
-          OperatorPtr op = std::move(source_op);
-          for (size_t i = 0; i < row_local; ++i) {
-            StatusOr<OperatorPtr> lowered = LowerPipelineStage(
-                *chain.stages[i], std::move(op), manager, prob_base);
-            if (!lowered.ok()) return lowered.status();
-            op = std::move(*lowered);
-          }
-          return op;
-        });
-    if (!out.ok()) return out.status();
-    *table = std::move(*out);
-    first_serial_stage = row_local;
-    if (stats != nullptr)
-      ReportNode(stats, chain.exchange, chain.exchange->Label(),
-                 table->rows.size(), SecondsSince(start));
-  }
-
-  StatusOr<TPRelation> rel = [&]() -> StatusOr<TPRelation> {
-    if (first_serial_stage == chain.stages.size()) {
-      // Everything ran in the parallel driver; `table` is the result.
-      return TPRelation::FromTable(name, *table, manager);
-    }
-    StatusOr<OperatorPtr> lowered =
-        LowerRowTail(std::make_unique<TableScan>(table.get()), chain.stages,
-                     first_serial_stage, manager, stats, prob_base);
-    if (!lowered.ok()) return lowered.status();
-    const Table out = Materialize(lowered->get());
-    return TPRelation::FromTable(name, out, manager);
-  }();
-  if (!rel.ok()) return rel.status();
-  return EvalResult{std::move(*rel), nullptr};
+  ChainRun run;
+  TPDB_RETURN_IF_ERROR(RunChain(chain, &run, stats));
+  const Table out = run.TakeTable(/*last=*/true);
+  run.Report(stats);
+  StatusOr<TPRelation> result =
+      TPRelation::FromTable(run.name, out, run.manager);
+  if (!result.ok()) return result.status();
+  return EvalResult{std::move(*result), nullptr};
 }
 
 StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
@@ -611,7 +481,10 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
     if (op != PhysOp::kFilter && op != PhysOp::kProject) return no_match;
   }
 
+  // LIMIT 0 and an empty cold relation take the generic path, which still
+  // validates the stages.
   const size_t k = static_cast<size_t>(sort->top_k);
+  if (k == 0) return no_match;
   LineageManager* manager = source->rel->manager();
   const ProbEvalOptions prob_base = BaseProbOptions(options_);
   ProbabilityEvaluator evaluator(manager, prob_base);
@@ -634,6 +507,7 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
       source->cold ? source->rel->cold_storage().get() : nullptr;
   std::unique_ptr<Table> warm;
   if (cold != nullptr) {
+    if (cold->segments().empty()) return no_match;
     const bool fresh =
         manager->probability_epoch() == cold->probability_epoch();
     size_t base = 0;
@@ -653,7 +527,7 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
                      return a.upper > b.upper;
                    });
 
-  // The running top k. Parity with ProbSort's stable sort + Limit means
+  // The running top k. Parity with SortTable's stable sort + Limit means
   // ordering candidates by (probability desc, scan position asc); the heap
   // keeps its WORST kept entry on top, so it is evicted first and its
   // probability is the running k-th lower bound.
@@ -673,45 +547,49 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
   uint64_t rows_evaluated = 0;
   size_t units_visited = 0;
   for (const Unit& unit : units) {
-    if (k == 0) break;
     // Stop once no remaining unit can beat the k-th kept probability.
     // Equality must keep scanning: a tying row with a smaller scan
     // position wins its tie-break.
     if (kept.size() == k && kept.front().prob > unit.upper) break;
     ++units_visited;
 
-    OperatorPtr op =
+    vec::BatchOperatorPtr scan =
         cold != nullptr
-            ? OperatorPtr(std::make_unique<storage::SegmentScan>(
+            ? vec::BatchOperatorPtr(std::make_unique<storage::SegmentBatchScan>(
                   cold, source->scan_predicate, unit.segment,
                   unit.segment + 1, &counters))
-            : OperatorPtr(std::make_unique<TableScan>(warm.get()));
-    for (size_t i = 0; i < sort_idx; ++i) {
-      StatusOr<OperatorPtr> next = LowerPipelineStage(
-          *chain.stages[i], std::move(op), manager, prob_base);
-      if (!next.ok()) return next.status();
-      op = std::move(*next);
-    }
-    op->Open();
-    Row row;
+            : vec::BatchOperatorPtr(
+                  std::make_unique<vec::TableBatchScan>(warm.get()));
+    StatusOr<vec::BatchOperatorPtr> op =
+        LowerBatchStages(std::move(scan), chain.stages, 0, sort_idx, manager,
+                         nullptr, nullptr, prob_base);
+    if (!op.ok()) return op.status();
+    (*op)->Open();
     size_t local = 0;
-    while (op->Next(&row)) {
-      // Filtering preserves relative order, so the pre-filter unit base
-      // plus the post-filter local index ties rows exactly like the full
-      // sort's stable scan order.
-      const size_t seq = unit.seq_base + local++;
-      const double prob = evaluator.Probability(row[lin_col].AsLineage());
-      ++rows_evaluated;
-      if (kept.size() == k && !better(Entry{prob, seq, {}}, kept.front()))
-        continue;
-      kept.push_back(Entry{prob, seq, std::move(row)});
-      std::push_heap(kept.begin(), kept.end(), better);
-      if (kept.size() > k) {
-        std::pop_heap(kept.begin(), kept.end(), better);
-        kept.pop_back();
+    while (const vec::ColumnBatch* batch = (*op)->NextBatch()) {
+      const vec::ColumnVector& lin =
+          batch->columns[static_cast<size_t>(lin_col)];
+      for (size_t i = 0; i < batch->ActiveRows(); ++i) {
+        // Filtering preserves relative order, so the pre-filter unit base
+        // plus the post-filter local index ties rows exactly like the full
+        // sort's stable scan order.
+        const uint32_t r = batch->ActiveRow(i);
+        const size_t seq = unit.seq_base + local++;
+        const double prob = evaluator.Probability(lin.LineageAt(r));
+        ++rows_evaluated;
+        if (kept.size() == k && !better(Entry{prob, seq, {}}, kept.front()))
+          continue;
+        Row row;
+        batch->DecodeRow(r, &row);
+        kept.push_back(Entry{prob, seq, std::move(row)});
+        std::push_heap(kept.begin(), kept.end(), better);
+        if (kept.size() > k) {
+          std::pop_heap(kept.begin(), kept.end(), better);
+          kept.pop_back();
+        }
       }
     }
-    op->Close();
+    (*op)->Close();
   }
   sort->prob_methods |= evaluator.methods_used();
 
@@ -751,15 +629,8 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
 
 StatusOr<Planner::EvalResult> Planner::ExecAggregate(PhysicalNode* node,
                                                      ExecStats* stats) {
-  if (node->mode == ExecMode::kBatch) {
-    StatusOr<std::optional<EvalResult>> batch =
-        ExecBatchAggregate(node, stats);
-    if (!batch.ok()) return batch.status();
-    if (batch->has_value()) return std::move(**batch);
-    // The batch plan did not apply at run time (degenerate input); the row
-    // aggregate computes the identical result.
-  }
-  return ExecRowAggregate(node, stats);
+  return node->mode == ExecMode::kBatch ? ExecBatchAggregate(node, stats)
+                                        : ExecRowAggregate(node, stats);
 }
 
 StatusOr<Planner::EvalResult> Planner::ExecRowAggregate(PhysicalNode* node,
@@ -860,147 +731,41 @@ StatusOr<Planner::EvalResult> Planner::ExecRowAggregate(PhysicalNode* node,
   return EvalResult{std::move(result), nullptr};
 }
 
-StatusOr<std::optional<Planner::EvalResult>> Planner::ExecBatchAggregate(
-    PhysicalNode* node, ExecStats* stats) {
-  // The child chain was pre-validated by the mode pass: a fully batchable
-  // Scan→Filter… chain over a catalog relation, optionally with an
-  // exchange over its (row-local) whole length.
-  ChainExec chain = CollectExecChain(node->children[0].get());
-  PhysicalNode* source = chain.source;
-  const ProbEvalOptions prob_base = BaseProbOptions(options_);
-  TPDB_CHECK(IsCatalogSource(*source));
-  const TPRelation* rel = source->rel;
-  LineageManager* manager = rel->manager();
-  const storage::SegmentedTable* cold =
-      source->cold ? rel->cold_storage().get() : nullptr;
-
-  Schema flat;
-  const size_t batchable = CountBatchStages(source->schema, chain.stages,
-                                            /*row_local_only=*/false, &flat);
-  if (batchable != chain.stages.size()) return std::optional<EvalResult>();
+StatusOr<Planner::EvalResult> Planner::ExecBatchAggregate(PhysicalNode* node,
+                                                          ExecStats* stats) {
+  // The mode pass picks the batch aggregate over a chain that starts at a
+  // catalog relation; the chain streams its batches into the aggregate.
+  const ChainExec chain = CollectExecChain(node->children[0].get());
+  ChainRun run;
+  TPDB_RETURN_IF_ERROR(RunChain(chain, &run, stats));
+  vec::BatchOperatorPtr op = run.TakeBatches();
 
   // Group/aggregate columns resolve against the fact prefix of the
   // flattened schema (the reserved columns sit at the end), so the
-  // validation — and its errors — match the row path's exactly.
-  StatusOr<AggPlan> plan = ResolveAggregatePlan(
-      node->group_by, node->group_aliases, node->aggregates,
-      FactSchemaOf(flat));
+  // validation — and its errors — match the tuple aggregate's exactly.
+  StatusOr<AggPlan> plan =
+      ResolveAggregatePlan(node->group_by, node->group_aliases,
+                           node->aggregates, FactSchemaOf(op->schema()));
   if (!plan.ok()) return plan.status();
   std::vector<vec::BatchAggItem> items;
   items.reserve(node->aggregates.size());
   for (size_t j = 0; j < node->aggregates.size(); ++j)
     items.push_back(
         vec::BatchAggItem{MapAggFn(node->aggregates[j].fn), plan->agg_idx[j]});
-  Schema out_schema =
-      FlattenFactSchema(Schema(std::move(plan->out_cols)));
-
-  const storage::ScanPredicate& predicate = source->scan_predicate;
-  std::unique_ptr<Table> warm;  // flattened backing of the warm path
-  if (cold == nullptr) warm = std::make_unique<Table>(rel->ToTable());
-
-  VectorStats vstats;
-  StorageStats counters;
-  NodeStats* scan_stats = nullptr;
-  std::unique_ptr<Table> merged;  // parallel prefix output
-  vec::BatchOperatorPtr op;
-
-  // Parallel prefix: the exchange covers the whole (row-local) chain; the
-  // aggregate itself consumes the ordered merge serially.
-  if (chain.exchange != nullptr && ctx_ != nullptr &&
-      !chain.stages.empty() &&
-      ctx_->ShouldParallelize(cold != nullptr ? cold->num_rows()
-                                              : warm->rows.size()) &&
-      (cold == nullptr || cold->segments().size() >= 2)) {
-    const std::vector<Morsel> morsels =
-        cold != nullptr
-            ? MakeMorsels(cold->segments().size(), 1,
-                          static_cast<size_t>(ctx_->parallelism()) * 4)
-            : MakeMorsels(warm->rows.size(), ctx_->options().morsel_size);
-    // A single morsel would only add a materialize + re-transpose round
-    // trip over the serial stream below.
-    if (morsels.size() >= 2) {
-      std::vector<StorageStats> pcounters(morsels.size());
-      std::vector<VectorStats> pvcounters(morsels.size());
-      const Clock::time_point start = Clock::now();
-      StatusOr<Table> out = ParallelBatchPipeline(
-          ctx_, morsels.size(),
-          [&](size_t i) -> StatusOr<vec::BatchOperatorPtr> {
-            if (cold != nullptr)
-              return vec::BatchOperatorPtr(
-                  std::make_unique<storage::SegmentBatchScan>(
-                      cold, predicate, morsels[i].begin, morsels[i].end,
-                      &pcounters[i], &pvcounters[i]));
-            return vec::BatchOperatorPtr(
-                std::make_unique<vec::TableBatchScan>(
-                    warm.get(), morsels[i].begin, morsels[i].end,
-                    &pvcounters[i]));
-          },
-          [&](vec::BatchOperatorPtr src) -> StatusOr<vec::BatchOperatorPtr> {
-            return LowerBatchStages(std::move(src), chain.stages,
-                                    chain.stages.size(), manager, nullptr,
-                                    nullptr, prob_base);
-          });
-      if (!out.ok()) return out.status();
-      if (stats != nullptr) {
-        StorageStats storage;
-        for (const StorageStats& c : pcounters) storage.Merge(c);
-        for (const VectorStats& v : pvcounters) vstats.Merge(v);
-        if (cold != nullptr) {
-          NodeStats* slot = ReportNode(stats, source,
-                                       source->Label() + " (cold)",
-                                       storage.rows_decoded,
-                                       storage.decode_seconds);
-          slot->open_calls = 1;
-          stats->AddStorage(storage);
-        } else {
-          ReportNode(stats, source, source->Label(), rel->size(), 0.0);
-        }
-        ReportNode(stats, chain.exchange, chain.exchange->Label(),
-                   out->rows.size(), SecondsSince(start));
-      }
-      merged = std::make_unique<Table>(std::move(*out));
-      op = std::make_unique<vec::TableBatchScan>(merged.get(), nullptr);
-    }
-  }
-  if (op == nullptr && cold != nullptr) {
-    scan_stats = stats != nullptr
-                     ? stats->AddNode(source->Label() + " (cold)")
-                     : nullptr;
-    if (scan_stats != nullptr) source->actual = scan_stats;
-    op = std::make_unique<storage::SegmentBatchScan>(cold, predicate,
-                                                     &counters, &vstats);
-    op = LowerBatchStages(std::move(op), chain.stages, chain.stages.size(),
-                          manager, &vstats, stats, prob_base);
-  } else if (op == nullptr) {
-    ReportNode(stats, source, source->Label(), rel->size(), 0.0);
-    op = std::make_unique<vec::TableBatchScan>(warm.get(), &vstats);
-    op = LowerBatchStages(std::move(op), chain.stages, chain.stages.size(),
-                          manager, &vstats, stats, prob_base);
-  }
-
   op = std::make_unique<vec::BatchHashAggregate>(
       std::move(op), std::move(plan->group_idx), std::move(items),
-      std::move(out_schema), manager);
+      FlattenFactSchema(Schema(std::move(plan->out_cols))), run.manager);
   if (stats != nullptr) {
     NodeStats* slot = stats->AddNode(node->Label() + " (vec)");
     node->actual = slot;
     op = vec::InstrumentBatch(slot, std::move(op));
   }
-  const Table out = vec::MaterializeBatches(op.get(), &vstats);
-
-  if (stats != nullptr) {
-    if (scan_stats != nullptr) {
-      scan_stats->rows = counters.rows_decoded;
-      scan_stats->open_calls = 1;
-      scan_stats->seconds = counters.decode_seconds;
-      stats->AddStorage(counters);
-    }
-    stats->AddVector(vstats);
-  }
+  const Table out = vec::MaterializeBatches(op.get(), &run.vector);
+  run.Report(stats);
   StatusOr<TPRelation> result =
-      TPRelation::FromTable(rel->name() + "_agg", out, manager);
+      TPRelation::FromTable(run.name + "_agg", out, run.manager);
   if (!result.ok()) return result.status();
-  return std::optional<EvalResult>(EvalResult{std::move(*result), nullptr});
+  return EvalResult{std::move(*result), nullptr};
 }
 
 }  // namespace tpdb

@@ -5,17 +5,18 @@
 //      against the catalog into a typed physical-operator tree.
 //   2. RunPassPipeline (api/passes/): constant folding, predicate &
 //      probability-threshold pushdown into the scans, projection pruning,
-//      and zone-map-costed row/batch/parallel mode selection.
+//      and zone-map-costed mode selection (aggregate form, parallel
+//      regions, cardinality and cost estimates).
 //   3. Execute the annotated tree: pipelined chains (PhysFilter /
-//      PhysProject / PhysSort / PhysLimit over a source) fuse into one
-//      engine/ or engine/vector/ operator chain per their ExecMode
-//      annotations, PhysExchange regions run on the exec/ morsel drivers
-//      with an ordered merge, and PhysTPJoin / PhysTPSetOp / PhysAlign
-//      construct the tp/ and baseline/ operators from their node specs.
+//      PhysProject / PhysLimit over a source) run as engine/vector/ batch
+//      operators, a PhysSort materializes its input and sorts it,
+//      PhysExchange regions run on the exec/ morsel drivers with an
+//      ordered merge, and PhysTPJoin / PhysTPSetOp / PhysAlign construct
+//      the tp/ and baseline/ operators from their node specs.
 //
-// There is exactly one lowering path: every query — row or batch, serial
-// or parallel, warm or cold — routes through the same physical tree, and
-// Explain renders that tree with per-node cost estimates next to actuals.
+// There is exactly one lowering path: every query — serial or parallel,
+// warm or cold — routes through the same physical tree, and Explain
+// renders that tree with per-node cost estimates next to actuals.
 #ifndef TPDB_API_PLANNER_H_
 #define TPDB_API_PLANNER_H_
 
@@ -35,6 +36,7 @@ namespace tpdb {
 class ExecContext;
 class TPDatabase;
 struct ChainExec;
+struct ChainRun;
 
 /// Physical knobs shared by every node of one execution.
 struct PlannerOptions {
@@ -51,16 +53,9 @@ struct PlannerOptions {
   /// Driving inputs smaller than this run serially even when
   /// parallelism > 1 (task setup would dominate).
   size_t min_parallel_rows = 512;
-  /// Batch-at-a-time execution (engine/vector/). Unset (the default): the
-  /// mode-selection pass picks row vs batch per pipeline by cost — batch
-  /// for cold scans and large warm inputs, row where the transpose would
-  /// dominate. `true` forces the batch path wherever a stage vectorizes;
-  /// `false` pins the row path bit-for-bit. Results are element-wise and
-  /// order identical under every setting.
-  std::optional<bool> vectorize;
   /// Run the optimizing passes (constant folding, pushdown, projection
   /// pruning). `false` keeps only the mandatory mode-selection pass — the
-  /// parity baseline the physical-plan suite compares against.
+  /// baseline the physical-plan suite compares against.
   bool optimize = true;
   /// Node budget for compiled probability circuits: lineage formulas whose
   /// compilation would exceed this fall back to Monte-Carlo sampling.
@@ -107,8 +102,12 @@ class Planner {
                                      int parallelism);
 
   StatusOr<EvalResult> ExecNode(PhysicalNode* node, ExecStats* stats);
+  /// Runs `chain`'s source and stages into `run`: the exchange's prefix
+  /// per morsel, batch stages as batch operators, a sort over the
+  /// materialized rows. The last batch run is left to its consumer to pull.
+  Status RunChain(const ChainExec& chain, ChainRun* run, ExecStats* stats);
   /// Executes the maximal pipelined chain rooted at `top` (stages +
-  /// optional exchange marker over a source) per its mode annotations.
+  /// optional exchange marker over a source).
   StatusOr<EvalResult> ExecPipeline(PhysicalNode* top, ExecStats* stats);
   /// The pruned `ORDER BY _prob DESC LIMIT k` path: visits segments in
   /// zone-map max-probability order and stops once the running k-th
@@ -119,9 +118,11 @@ class Planner {
   StatusOr<EvalResult> ExecJoin(PhysicalNode* node, ExecStats* stats);
   StatusOr<EvalResult> ExecSetOp(PhysicalNode* node, ExecStats* stats);
   StatusOr<EvalResult> ExecAggregate(PhysicalNode* node, ExecStats* stats);
+  /// The tuple aggregate, over any child (a join, set-op or sort result).
   StatusOr<EvalResult> ExecRowAggregate(PhysicalNode* node, ExecStats* stats);
-  StatusOr<std::optional<EvalResult>> ExecBatchAggregate(PhysicalNode* node,
-                                                         ExecStats* stats);
+  /// The batch aggregate, over a chain that starts at a catalog relation.
+  StatusOr<EvalResult> ExecBatchAggregate(PhysicalNode* node,
+                                          ExecStats* stats);
 
   TPDatabase* db_;
   PlannerOptions options_;

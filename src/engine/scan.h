@@ -1,8 +1,6 @@
-// TableScan: leaf operator over a materialized table (or a morsel of one).
+// TableScan: leaf operator over a materialized table.
 #ifndef TPDB_ENGINE_SCAN_H_
 #define TPDB_ENGINE_SCAN_H_
-
-#include <limits>
 
 #include "engine/operator.h"
 
@@ -13,37 +11,26 @@ namespace tpdb {
 /// storage, so downstream pipelines pay no per-tuple copy for the scan.
 class TableScan final : public Operator {
  public:
-  explicit TableScan(const Table* table)
-      : TableScan(table, 0, std::numeric_limits<size_t>::max()) {}
-
-  /// Scans only rows [begin, min(end, size)) — the morsel form used by the
-  /// parallel pipeline driver.
-  TableScan(const Table* table, size_t begin, size_t end)
-      : table_(table), begin_(begin), end_(end), pos_(begin) {
+  explicit TableScan(const Table* table) : table_(table) {
     TPDB_CHECK(table != nullptr);
-    TPDB_CHECK_LE(begin_, end_);
   }
 
   const Schema& schema() const override { return table_->schema; }
-  void Open() override { pos_ = begin_; }
+  void Open() override { pos_ = 0; }
   bool Next(Row* out) override {
-    if (pos_ >= Limit()) return false;
+    if (pos_ >= table_->rows.size()) return false;
     *out = table_->rows[pos_++];
     return true;
   }
   const Row* NextRef() override {
-    if (pos_ >= Limit()) return nullptr;
+    if (pos_ >= table_->rows.size()) return nullptr;
     return &table_->rows[pos_++];
   }
   void Close() override {}
 
  private:
-  size_t Limit() const { return std::min(end_, table_->rows.size()); }
-
   const Table* table_;
-  size_t begin_;
-  size_t end_;
-  size_t pos_;
+  size_t pos_ = 0;
 };
 
 }  // namespace tpdb

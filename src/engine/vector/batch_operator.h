@@ -1,7 +1,8 @@
-// The batch-at-a-time operator protocol of the vectorized execution path —
+// The batch-at-a-time operator protocol of the relational pipeline stages —
 // the Volcano Open/Next/Close lifecycle, pulling a ColumnBatch per call
-// instead of one row. Batch pipelines compose with the untouched row
-// operators through the adapters in engine/vector/adapters.h.
+// instead of one row. A pipeline hands its rows to the row operators
+// (sort, the TP joins) by materializing them into a Table
+// (MaterializeBatches in engine/vector/batch_ops.h).
 #ifndef TPDB_ENGINE_VECTOR_BATCH_OPERATOR_H_
 #define TPDB_ENGINE_VECTOR_BATCH_OPERATOR_H_
 

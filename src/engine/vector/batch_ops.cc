@@ -209,7 +209,7 @@ void BatchHashAggregate::Close() {
 
 void BatchHashAggregate::Build() {
   // The accumulation below must stay in lockstep with the planner's
-  // row-path aggregate (api/planner.cc EvalAggregate): same NULL handling,
+  // tuple aggregate (api/planner.cc ExecRowAggregate): same NULL handling,
   // same int64/double accumulator behavior, same ascending-key emit order,
   // and lineages OR-ed in input order so the disjunction nodes intern
   // identically.
@@ -227,7 +227,7 @@ void BatchHashAggregate::Build() {
     std::vector<LineageRef> lineages;
   };
   // Hash grouping with a sorted emit: O(1) probes per row instead of the
-  // row path's ordered-map lookups, same ascending-key output order.
+  // tuple aggregate's ordered-map lookups, same ascending-key output order.
   struct RowHashFn {
     size_t operator()(const Row& row) const {
       uint64_t h = 1469598103934665603ull;  // FNV-1a over datum hashes
@@ -348,6 +348,24 @@ const ColumnBatch* BatchHashAggregate::NextBatch() {
   TransposeRows(out_rows_, pos_, pos_ + n, &batch_);
   pos_ += n;
   return &batch_;
+}
+
+Table MaterializeBatches(BatchOperator* op, VectorStats* stats) {
+  Table out;
+  out.schema = op->schema();
+  op->Open();
+  while (const ColumnBatch* batch = op->NextBatch()) {
+    const size_t n = batch->ActiveRows();
+    out.rows.reserve(out.rows.size() + n);
+    for (size_t i = 0; i < n; ++i) {
+      Row row;
+      batch->DecodeRow(batch->ActiveRow(i), &row);
+      out.rows.push_back(std::move(row));
+    }
+    if (stats != nullptr) stats->rows_emitted += n;
+  }
+  op->Close();
+  return out;
 }
 
 namespace {

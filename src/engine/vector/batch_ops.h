@@ -1,13 +1,14 @@
-// Batch implementations of the hot pipeline stages: table scan, filter,
-// project, probability threshold, limit, and hash aggregate. Filters and
-// thresholds narrow the selection vector instead of copying rows; project
-// re-views the child's columns; the aggregate reads only the columns it
-// actually needs. Every operator produces rows in exactly the order the
-// row-path operator would, so the planner can swap the paths freely.
+// Batch implementations of the relational pipeline stages: table scan,
+// filter, project, probability threshold, limit, and hash aggregate.
+// Filters and thresholds narrow the selection vector instead of copying
+// rows; project re-views the child's columns; the aggregate reads only the
+// columns it actually needs. Every operator keeps its input's row order,
+// so a pipeline's output order is its source's scan order.
 #ifndef TPDB_ENGINE_VECTOR_BATCH_OPS_H_
 #define TPDB_ENGINE_VECTOR_BATCH_OPS_H_
 
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,12 @@ class TableBatchScan final : public BatchOperator {
       : TableBatchScan(table, 0, std::numeric_limits<size_t>::max(), stats) {}
   TableBatchScan(const Table* table, size_t begin, size_t end,
                  VectorStats* stats = nullptr);
+  /// Scans a table it owns (a materialized intermediate result).
+  explicit TableBatchScan(std::unique_ptr<Table> table,
+                          VectorStats* stats = nullptr)
+      : TableBatchScan(table.get(), stats) {
+    owned_ = std::move(table);
+  }
 
   const Schema& schema() const override { return table_->schema; }
   void Open() override { pos_ = begin_; }
@@ -37,6 +44,7 @@ class TableBatchScan final : public BatchOperator {
   void Close() override {}
 
  private:
+  std::unique_ptr<Table> owned_;
   const Table* table_;
   size_t begin_;
   size_t end_;
@@ -154,7 +162,7 @@ struct BatchAggItem {
 /// _lin): groups on `group_by` columns, accumulates `aggs`, and emits one
 /// row per group — key columns, aggregate columns, then the group's
 /// interval span and the disjunction of its tuples' lineages — in
-/// ascending key order, exactly matching the planner's row-path aggregate.
+/// ascending key order, exactly matching the planner's tuple aggregate.
 class BatchHashAggregate final : public BatchOperator {
  public:
   /// `output` is the flattened output schema (group cols ++ agg cols ++
@@ -181,6 +189,10 @@ class BatchHashAggregate final : public BatchOperator {
   size_t pos_ = 0;
   ColumnBatch batch_;
 };
+
+/// Runs `op` (Open/NextBatch*/Close) and materializes the active rows, in
+/// selection order, into a Table. Counts emitted rows into `stats`.
+Table MaterializeBatches(BatchOperator* op, VectorStats* stats = nullptr);
 
 /// Wraps `child`, counting emitted rows/batches and timing NextBatch into
 /// a fresh node of `stats` (the batch counterpart of engine/explain's

@@ -81,7 +81,7 @@ struct ColumnVector {
   }
 
   /// Lineage reference of `row` (CHECK-fails on non-lineage values, like
-  /// the row path's Datum::AsLineage).
+  /// Datum::AsLineage).
   LineageRef LineageAt(size_t row) const {
     if (rep == Rep::kLineage) return lineage[row];
     return ValueAt(row).AsLineage();
@@ -102,7 +102,7 @@ struct ColumnBatch {
   std::vector<ColumnVector> columns;
   /// When `sel_all` is true every row is active; otherwise only the rows
   /// listed in `sel`, in increasing order — so consuming a batch in
-  /// selection order preserves the row path's emit order exactly.
+  /// selection order preserves the source's row order exactly.
   bool sel_all = true;
   std::vector<uint32_t> sel;
 

@@ -49,9 +49,9 @@ int8_t CompareNum(CompareOp op, T x, T y) {
   return kNull;
 }
 
-/// Per-row comparison replicating the row path exactly: CompareExpr's
-/// Datum::Compare semantics, or — when `promote` — the planner's
-/// PromotedCompare (compare as doubles, NULL on non-numeric operands).
+/// Per-row comparison with engine/expr.cc's semantics: CompareExpr's
+/// Datum::Compare order, or — when `promote` — the planner's numeric
+/// promotion (compare as doubles, NULL on non-numeric operands).
 int8_t CompareDatums(bool promote, CompareOp op, const Datum& a,
                      const Datum& b) {
   if (a.is_null() || b.is_null()) return kNull;
@@ -61,6 +61,13 @@ int8_t CompareDatums(bool promote, CompareOp op, const Datum& a,
     return CompareNum(op, x, y);
   }
   return CompareTruth(op, a.Compare(b));
+}
+
+/// The value a boolean subexpression has as a comparison operand: int64
+/// 1/0, or NULL.
+Datum TruthDatum(int8_t truth) {
+  return truth == kNull ? Datum::Null()
+                        : Datum(static_cast<int64_t>(truth == kTrue));
 }
 
 class ConstNode final : public VectorExpr {
@@ -90,6 +97,9 @@ class CompareNode final : public VectorExpr {
   /// — see the thread-safety note in the header.
   mutable const std::vector<std::string>* cached_dict_ = nullptr;
   mutable std::vector<int8_t> dict_truth_;
+  /// Truth of subexpression operands for the batch in flight.
+  mutable std::vector<int8_t> a_truth_;
+  mutable std::vector<int8_t> b_truth_;
 
   CompareOp op_;
   bool promote_;
@@ -109,6 +119,29 @@ void CompareNode::EvalTruth(const ColumnBatch& batch, const uint32_t* rows,
   const auto null_at = [&](const ColumnVector* c, size_t r) {
     return c != nullptr && c->IsNull(r);
   };
+
+  // A subexpression operand compares by its Kleene value, row by row.
+  if (a_.sub != nullptr || b_.sub != nullptr) {
+    if (a_.sub != nullptr) {
+      a_truth_.resize(n);
+      a_.sub->EvalTruth(batch, rows, n, a_truth_.data());
+    }
+    if (b_.sub != nullptr) {
+      b_truth_.resize(n);
+      b_.sub->EvalTruth(batch, rows, n, b_truth_.data());
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = row_at(i);
+      const Datum x = a_.sub != nullptr ? TruthDatum(a_truth_[i])
+                      : ca != nullptr   ? ca->ValueAt(r)
+                                        : a_.lit;
+      const Datum y = b_.sub != nullptr ? TruthDatum(b_truth_[i])
+                      : cb != nullptr   ? cb->ValueAt(r)
+                                        : b_.lit;
+      out[i] = CompareDatums(promote_, op_, x, y);
+    }
+    return;
+  }
 
   // Runtime shape of each side. Literals are non-null (builders fold
   // null-literal comparisons to a constant).
@@ -202,7 +235,7 @@ void CompareNode::EvalTruth(const ColumnBatch& batch, const uint32_t* rows,
     return;
   }
 
-  // Mixed / generic shapes: per-row Datums with exact row-path semantics.
+  // Mixed / generic shapes: per-row Datums with engine/expr.cc semantics.
   for (size_t i = 0; i < n; ++i) {
     const size_t r = row_at(i);
     const Datum x = ca ? ca->ValueAt(r) : a_.lit;
@@ -319,10 +352,14 @@ VectorExprPtr VConst(int8_t truth) {
 
 VectorExprPtr VCompare(CompareOp op, bool promote_numeric, VOperand a,
                        VOperand b) {
-  if (!a.is_column() && !b.is_column())
+  // A constant subexpression is just its value.
+  for (VOperand* o : {&a, &b})
+    if (o->sub != nullptr && o->sub->constant_truth() != nullptr)
+      *o = VOperand::Literal(TruthDatum(*o->sub->constant_truth()));
+  if (a.is_literal() && b.is_literal())
     return VConst(CompareDatums(promote_numeric, op, a.lit, b.lit));
-  if ((!a.is_column() && a.lit.is_null()) ||
-      (!b.is_column() && b.lit.is_null()))
+  if ((a.is_literal() && a.lit.is_null()) ||
+      (b.is_literal() && b.lit.is_null()))
     return VConst(kNull);  // any comparison with NULL is NULL
   return std::make_unique<CompareNode>(op, promote_numeric, std::move(a),
                                        std::move(b));

@@ -6,13 +6,13 @@
 // and constant subtrees already folded (the builders collapse literal-only
 // nodes to constants), so a batch evaluation is pure loops: typed fast
 // paths over int64/double spans and dictionary codes, with a per-row Datum
-// fallback for mixed-type columns that replicates the row path's
-// three-valued semantics exactly (engine/expr.cc and the planner's numeric
-// promotion rule).
+// fallback for mixed-type columns that follows engine/expr.cc's
+// three-valued semantics exactly, plus the planner's int64↔double
+// promotion rule.
 //
 // Nodes carry per-batch scratch buffers, so one compiled tree must not be
 // shared across threads — the parallel driver compiles one per morsel
-// chain, like the row path's per-morsel operator chains.
+// chain.
 #ifndef TPDB_ENGINE_VECTOR_PREDICATE_H_
 #define TPDB_ENGINE_VECTOR_PREDICATE_H_
 
@@ -45,10 +45,13 @@ class VectorExpr {
 
 using VectorExprPtr = std::unique_ptr<const VectorExpr>;
 
-/// One operand of a comparison: a resolved column index or a constant.
+/// One operand of a comparison: a resolved column index, a constant, or a
+/// boolean subexpression compared by its Kleene value as an int64 0/1 or
+/// NULL (engine/expr.cc evaluates `(a = b) = 1` that way).
 struct VOperand {
   int col = -1;  ///< >= 0: index into the batch's columns
   Datum lit;
+  std::shared_ptr<const VectorExpr> sub;  ///< non-null: subexpression
 
   static VOperand Column(int index) {
     VOperand o;
@@ -60,7 +63,13 @@ struct VOperand {
     o.lit = std::move(value);
     return o;
   }
+  static VOperand Truth(VectorExprPtr expr) {
+    VOperand o;
+    o.sub = std::move(expr);
+    return o;
+  }
   bool is_column() const { return col >= 0; }
+  bool is_literal() const { return col < 0 && sub == nullptr; }
 };
 
 // -- Builders (mirroring engine/expr.h, with constant folding) ------------

@@ -6,9 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "engine/materialize.h"
-#include "engine/scan.h"
-#include "engine/vector/adapters.h"
+#include "engine/vector/batch_ops.h"
 
 namespace tpdb {
 
@@ -211,49 +209,6 @@ StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx, TPSetOpKind kind,
   TPDB_RETURN_IF_ERROR(MergeSlots(&r_slots, &result));
   TPDB_RETURN_IF_ERROR(MergeSlots(&s_slots, &result));
   return result;
-}
-
-StatusOr<Table> ParallelPipeline(ExecContext* ctx, const Table& input,
-                                 const PipelineFactory& factory) {
-  TPDB_CHECK(ctx != nullptr);
-  TPDB_CHECK(factory != nullptr);
-
-  const auto run_serial = [&]() -> StatusOr<Table> {
-    StatusOr<OperatorPtr> op =
-        factory(std::make_unique<TableScan>(&input));
-    if (!op.ok()) return op.status();
-    return Materialize(op->get());
-  };
-  if (!ctx->ShouldParallelize(input.rows.size())) return run_serial();
-
-  const std::vector<Morsel> morsels =
-      MakeMorsels(input.rows.size(), ctx->options().morsel_size);
-  if (morsels.size() < 2) return run_serial();
-
-  std::vector<Table> slots(morsels.size());
-  TaskGroup group(ctx->pool());
-  for (size_t i = 0; i < morsels.size(); ++i) {
-    group.Spawn([&, i]() -> Status {
-      const Clock::time_point start = Clock::now();
-      StatusOr<OperatorPtr> op = factory(std::make_unique<TableScan>(
-          &input, morsels[i].begin, morsels[i].end));
-      if (!op.ok()) return op.status();
-      slots[i] = Materialize(op->get());
-      ctx->RecordTask(slots[i].rows.size(), SecondsSince(start));
-      return Status::OK();
-    });
-  }
-  TPDB_RETURN_IF_ERROR(group.Wait());
-
-  // Ordered merge: morsel order == scan order == the serial row order.
-  Table out;
-  out.schema = slots[0].schema;
-  size_t total = 0;
-  for (const Table& t : slots) total += t.rows.size();
-  out.rows.reserve(total);
-  for (Table& t : slots)
-    for (Row& row : t.rows) out.rows.push_back(std::move(row));
-  return out;
 }
 
 StatusOr<Table> ParallelBatchPipeline(ExecContext* ctx, size_t num_morsels,

@@ -16,10 +16,11 @@
 // Both resolve kAuto once for the whole operator (ChooseOverlapAlgorithm).
 // A hot key that picks the sweep also puts most rows in one morsel's key
 // group or one fact partition, so on the sweep they run the serial plan.
-//   - ParallelPipeline   — splits a materialized table into morsels, runs
-//     a caller-built row-local operator chain (filter / project /
-//     probability threshold) over each morsel, and merges the outputs in
-//     morsel order (ordered merge: byte-identical to the serial pipeline).
+//   - ParallelBatchPipeline — runs a caller-built row-local batch chain
+//     (filter / project / probability threshold) over each morsel of a
+//     batch source (a row range of a table, a segment range of a cold
+//     relation) and merges the outputs in morsel order (ordered merge:
+//     byte-identical to the serial pipeline).
 //
 // Every driver degrades to the serial operator when the context says the
 // input is too small or parallelism is 1, and records per-worker timings
@@ -62,18 +63,6 @@ StatusOr<TPRelation> ParallelTPSetOp(ExecContext* ctx,
                                      const TPSetOpSpec& spec,
                                      const TPRelation& r,
                                      const TPRelation& s);
-
-/// Builds one instance of a row-local operator chain over `source` (a scan
-/// of one morsel). Must be safe to call concurrently.
-using PipelineFactory =
-    std::function<StatusOr<OperatorPtr>(OperatorPtr source)>;
-
-/// Runs `factory`'s chain over every morsel of `input` and merges the
-/// per-morsel outputs in morsel order. The chain must be row-local
-/// (filter / project — no sort, limit or aggregation), which makes the
-/// merged table byte-identical to a serial run of the same chain.
-StatusOr<Table> ParallelPipeline(ExecContext* ctx, const Table& input,
-                                 const PipelineFactory& factory);
 
 /// Builds the batch source for morsel `i` (a TableBatchScan over a row
 /// range, a SegmentBatchScan over a segment range, …). Must be safe to

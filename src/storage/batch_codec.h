@@ -9,8 +9,8 @@
 // where each column is one storage/column_codec.h column (encoding byte,
 // declared-type byte, data; alignment relative to the payload start).
 // Encoding compacts the batch's selection vector: only active rows are
-// written, in selection order — exactly the rows and order a row-path
-// consumer would see.
+// written, in selection order — exactly the rows and order a consumer of
+// the materialized batch would see.
 //
 // Decoding materializes an *owned* batch (no views into the payload), so
 // the payload buffer may be discarded as soon as DecodeColumnBatch

@@ -218,30 +218,19 @@ bool SegmentMayMatch(const Segment& segment, const Schema& schema,
 
 SegmentScan::SegmentScan(const SegmentedTable* table, ScanPredicate predicate,
                          StorageStats* stats)
-    : SegmentScan(table, std::move(predicate), 0,
-                  table != nullptr ? table->segments().size() : 0, stats) {}
-
-SegmentScan::SegmentScan(const SegmentedTable* table, ScanPredicate predicate,
-                         size_t seg_begin, size_t seg_end, StorageStats* stats)
-    : table_(table),
-      predicate_(std::move(predicate)),
-      seg_begin_(seg_begin),
-      seg_end_(seg_end),
-      stats_(stats) {
+    : table_(table), predicate_(std::move(predicate)), stats_(stats) {
   TPDB_CHECK(table_ != nullptr);
-  TPDB_CHECK_LE(seg_begin_, seg_end_);
-  TPDB_CHECK_LE(seg_end_, table_->segments().size());
 }
 
 void SegmentScan::Open() {
-  next_segment_ = seg_begin_;
+  next_segment_ = 0;
   buffer_pos_ = 0;
   buffer_.clear();
 }
 
 bool SegmentScan::FillBuffer() {
   using Clock = std::chrono::steady_clock;
-  while (next_segment_ < seg_end_) {
+  while (next_segment_ < table_->segments().size()) {
     const Segment& segment = table_->segments()[next_segment_++];
     if (!SegmentMayMatch(segment, table_->schema(), predicate_)) {
       if (stats_ != nullptr) ++stats_->segments_skipped;

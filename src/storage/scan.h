@@ -1,10 +1,10 @@
-// SegmentScan: the cold read path. A Volcano leaf operator over a
-// SegmentedTable that consults each segment's zone map against the pushed-
-// down predicate before decoding anything — non-overlapping time ranges,
-// out-of-bounds numeric ranges and sub-threshold probability segments are
-// skipped whole. Matching segments are batch-decoded column-to-row one
-// segment at a time (bounded memory), and NextRef serves rows out of that
-// buffer without further copies.
+// Cold scans over a SegmentedTable. Both consult each segment's zone map
+// against the pushed-down predicate before decoding anything —
+// non-overlapping time ranges, out-of-bounds numeric ranges and
+// sub-threshold probability segments are skipped whole.
+// SegmentBatchScan, the engine's cold read path, serves column views of
+// the surviving chunks; SegmentScan decodes them into rows one segment at
+// a time (bounded memory) for callers that read rows.
 //
 // Pruning is conservative: a segment is skipped only when its zone map
 // proves no row can satisfy the predicate, so the (still applied)
@@ -98,10 +98,6 @@ class SegmentScan final : public Operator {
  public:
   SegmentScan(const SegmentedTable* table, ScanPredicate predicate,
               StorageStats* stats = nullptr);
-  /// Scans only segments [seg_begin, seg_end) — the unit the planner's
-  /// probability top-k path visits in zone-map upper-bound order.
-  SegmentScan(const SegmentedTable* table, ScanPredicate predicate,
-              size_t seg_begin, size_t seg_end, StorageStats* stats = nullptr);
 
   const Schema& schema() const override { return table_->schema(); }
   void Open() override;
@@ -115,8 +111,6 @@ class SegmentScan final : public Operator {
 
   const SegmentedTable* table_;
   ScanPredicate predicate_;
-  size_t seg_begin_;
-  size_t seg_end_;
   StorageStats* stats_;
   size_t next_segment_ = 0;
   size_t buffer_pos_ = 0;
@@ -124,7 +118,7 @@ class SegmentScan final : public Operator {
   ChunkStorage storage_;  ///< scratch for decompressing packed chunks
 };
 
-/// Chunk-level batch scan: the vectorized cold read path. Serves
+/// Chunk-level batch scan: the engine's cold read path. Serves
 /// ColumnBatches of up to vec::kBatchRows rows whose column vectors view
 /// the mapped segment chunks directly — no per-row materialization at all;
 /// downstream batch filters only narrow the selection vector. Zone-map
@@ -132,8 +126,10 @@ class SegmentScan final : public Operator {
 /// scan, against the same pushed-down predicate).
 ///
 /// The segment-range form scans only segments [seg_begin, seg_end) — the
-/// morsel unit of the parallel batch driver: concatenating per-range
-/// outputs in range order reproduces the full scan's row order exactly.
+/// morsel unit of the parallel batch driver (concatenating per-range
+/// outputs in range order reproduces the full scan's row order exactly)
+/// and the unit the probability top-k path visits in zone-map upper-bound
+/// order.
 class SegmentBatchScan final : public vec::BatchOperator {
  public:
   SegmentBatchScan(const SegmentedTable* table, ScanPredicate predicate,

@@ -288,11 +288,10 @@ std::vector<std::string> ParityPredicates() {
 }
 
 /// Runs every kind × predicate optimized at parallelism 1 and 4 and
-/// compares with the unoptimized serial row baseline.
+/// compares with the unoptimized serial baseline.
 void SweepJoinParity(TPDatabase* db) {
   SessionOptions baseline;
   baseline.optimize = false;
-  baseline.vectorize = false;
   baseline.parallelism = 1;
   for (const std::string& kind : kJoinKinds) {
     for (const std::string& predicate : ParityPredicates()) {

@@ -1,9 +1,9 @@
 // Physical plan IR: pass-by-pass golden trees (constant folding, predicate
-// & probability pushdown, projection pruning, cost-based mode selection)
-// and element-wise execution parity of the optimized PhysicalPlan against
-// the unoptimized baseline across vectorize {auto, on, off} × parallelism
-// {1, 4} × warm/cold inputs × seeds — values, intervals, and exact
-// probabilities must match in emit order under every configuration.
+// & probability pushdown, projection pruning, mode selection) and
+// element-wise execution parity of the optimized PhysicalPlan against the
+// unoptimized baseline across parallelism {1, 4} × warm/cold inputs ×
+// seeds — values, intervals, and exact probabilities must match in emit
+// order under every configuration.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -232,12 +232,8 @@ class PhysicalPlanColdTest : public ::testing::Test {
 };
 
 TEST_F(PhysicalPlanColdTest, CostModelPicksBatchOnColdScansWithoutHint) {
-  // The acceptance sweep: no explicit vectorize hint anywhere — the
-  // zone-map-costed mode selection must route every cold scan query onto
-  // the batch path by itself.
-  PlannerOptions options;  // vectorize unset = cost-based
-  ASSERT_FALSE(options.vectorize.has_value());
-  Planner planner(&cold_, options);
+  // Every cold scan query reads its segments as batches.
+  Planner planner(&cold_, {});
   for (const std::string& query : std::vector<std::string>{
            "SELECT * FROM events WHERE key >= 10",
            "SELECT * FROM events WHERE val < 300.0",
@@ -255,18 +251,34 @@ TEST_F(PhysicalPlanColdTest, CostModelPicksBatchOnColdScansWithoutHint) {
   }
 }
 
-TEST_F(PhysicalPlanColdTest, VectorizeOffPinsTheRowPath) {
-  PlannerOptions options;
-  options.vectorize = false;
-  Planner planner(&cold_, options);
-  StatusOr<LogicalPlan> logical =
-      cold_.Plan("SELECT * FROM events WHERE key >= 10");
+TEST_F(PhysicalPlanColdTest, SortIsARowBarrierBetweenBatchStages) {
+  Planner planner(&cold_, {});
+  StatusOr<LogicalPlan> logical = cold_.Plan(
+      "SELECT key FROM events WHERE key >= 10 ORDER BY key LIMIT 5");
   ASSERT_TRUE(logical.ok());
   StatusOr<PhysicalPlan> plan = planner.Lower(*logical);
-  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const std::string tree = plan->ToString();
-  EXPECT_EQ(Find(tree, "BatchScan"), -1) << tree;
-  EXPECT_EQ(Find(tree, "{batch"), -1) << tree;
+  // Limit {batch} over Sort {row} over batch stages over the batch scan.
+  const PhysicalNode* limit = plan->root.get();
+  ASSERT_EQ(limit->op, PhysOp::kLimit) << tree;
+  EXPECT_EQ(limit->mode, ExecMode::kBatch) << tree;
+  const PhysicalNode* sort = limit->children[0].get();
+  ASSERT_EQ(sort->op, PhysOp::kSort) << tree;
+  EXPECT_EQ(sort->mode, ExecMode::kRow) << tree;
+  const PhysicalNode* below = sort->children[0].get();
+  while (!below->children.empty()) {
+    EXPECT_EQ(below->mode, ExecMode::kBatch) << tree;
+    below = below->children[0].get();
+  }
+  EXPECT_EQ(below->op, PhysOp::kBatchScan) << tree;
+
+  StatusOr<TPRelation> got = Session(&cold_, {}).Query(
+      "SELECT key FROM events WHERE key >= 10 ORDER BY key LIMIT 5");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), 5u);
+  for (size_t i = 0; i < got->size(); ++i)
+    EXPECT_EQ(got->tuple(i).fact[0].AsInt64(), 10);
 }
 
 TEST_F(PhysicalPlanColdTest, ZoneMapEstimatesDriveTheScanCardinality) {
@@ -315,7 +327,6 @@ TEST_F(PhysicalPlanColdTest, ExplainReportsPruningOnTheParallelMorselRoute) {
   SessionOptions options;
   options.parallelism = 4;
   options.min_parallel_rows = 64;
-  options.vectorize = true;
   StatusOr<std::string> parallel =
       Session(&cold_, options).Explain("SELECT * FROM events WHERE _ts >= 2048");
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
@@ -379,32 +390,27 @@ std::vector<std::string> ParityQueries(const std::string& rel) {
 }
 
 /// Runs the queries under every configuration and compares against the
-/// unoptimized serial row baseline.
+/// unoptimized serial baseline.
 void SweepParity(TPDatabase* db, const std::string& rel) {
   SessionOptions baseline;
   baseline.optimize = false;
-  baseline.vectorize = false;
   baseline.parallelism = 1;
   for (const std::string& query : ParityQueries(rel)) {
     SCOPED_TRACE(query);
     StatusOr<TPRelation> expected = Session(db, baseline).Query(query);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
     for (const bool optimize : {false, true}) {
-      for (const int vectorize : {-1, 0, 1}) {  // -1 = auto
-        for (const int parallelism : {1, 4}) {
-          SCOPED_TRACE("optimize=" + std::to_string(optimize) +
-                       " vectorize=" + std::to_string(vectorize) +
-                       " parallelism=" + std::to_string(parallelism));
-          SessionOptions options;
-          options.optimize = optimize;
-          if (vectorize >= 0) options.vectorize = vectorize != 0;
-          options.parallelism = parallelism;
-          options.min_parallel_rows = 64;
-          options.morsel_size = 256;
-          StatusOr<TPRelation> got = Session(db, options).Query(query);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectSameRelation(*expected, *got);
-        }
+      for (const int parallelism : {1, 4}) {
+        SCOPED_TRACE("optimize=" + std::to_string(optimize) +
+                     " parallelism=" + std::to_string(parallelism));
+        SessionOptions options;
+        options.optimize = optimize;
+        options.parallelism = parallelism;
+        options.min_parallel_rows = 64;
+        options.morsel_size = 256;
+        StatusOr<TPRelation> got = Session(db, options).Query(query);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectSameRelation(*expected, *got);
       }
     }
   }
@@ -490,7 +496,6 @@ TEST(PhysicalPlanParityTest, JoinsAndSetOpsRouteThroughTheSameTree) {
   }
   SessionOptions baseline;
   baseline.optimize = false;
-  baseline.vectorize = false;
   baseline.parallelism = 1;
   // (query, order_sensitive): parallel set operations emit in the
   // deterministic hash-partition order rather than the serial emit order

@@ -1,5 +1,5 @@
 // The pruned `ORDER BY _prob DESC LIMIT k` path: element-wise parity with
-// the unoptimized ProbSort baseline (values, intervals, probabilities, and
+// the unoptimized full-sort baseline (values, intervals, probabilities, and
 // order — ties included) on warm and cold inputs, correctness when the
 // zone maps go stale after a probability update, routing of the shapes the
 // pruned path must NOT take, and the `WITH PROB APPROX` contract
@@ -43,8 +43,7 @@ void ExpectSameRelation(const TPRelation& a, const TPRelation& b) {
 
 SessionOptions Baseline() {
   SessionOptions options;
-  options.optimize = false;  // top-k fusion never fires: generic ProbSort
-  options.vectorize = false;
+  options.optimize = false;  // top-k fusion never fires: the full sort
   options.parallelism = 1;
   return options;
 }
@@ -164,7 +163,7 @@ TEST_F(TopKProbColdTest, StaleZoneMapsStayCorrectAfterProbabilityUpdate) {
 
 TEST_F(TopKProbColdTest, NonTopKShapesRouteThroughTheGenericSort) {
   // ASC, no LIMIT, and mixed keys must not take the pruned path — and must
-  // still agree with the baseline through the generic ProbSort.
+  // still agree with the baseline through the full sort.
   ExpectParity(&cold_, "SELECT * FROM events ORDER BY _prob LIMIT 20");
   ExpectParity(&cold_,
                "SELECT * FROM events WHERE key >= 90 ORDER BY _prob DESC");

@@ -1,11 +1,14 @@
-#include "engine/aggregate.h"
-
+// Unit tests of the batch hash aggregate and limit, and of the row
+// instrumentation wrapper.
 #include <gtest/gtest.h>
 
 #include "engine/explain.h"
-#include "engine/limit.h"
 #include "engine/materialize.h"
 #include "engine/scan.h"
+#include "engine/sort.h"
+#include "engine/vector/batch_ops.h"
+#include "lineage/lineage.h"
+#include "tp/tp_relation.h"
 
 namespace tpdb {
 namespace {
@@ -27,11 +30,41 @@ Table SalesTable() {
   return t;
 }
 
+/// Groups `input` on `group_by` with BatchHashAggregate. The input gets
+/// the reserved interval and (certain) lineage columns the aggregate
+/// requires; `out` names the output fact columns.
+Table Aggregate(const Table& input, std::vector<int> group_by,
+                std::vector<vec::BatchAggItem> aggs, std::vector<Column> out) {
+  static LineageManager manager;
+  Table flat = input;
+  flat.schema.AddColumn({kTsColumn, DatumType::kInt64});
+  flat.schema.AddColumn({kTeColumn, DatumType::kInt64});
+  flat.schema.AddColumn({kLineageColumn, DatumType::kLineage});
+  for (Row& row : flat.rows) {
+    row.push_back(I(0));
+    row.push_back(I(1));
+    row.push_back(Datum(manager.True()));
+  }
+  Schema schema(std::move(out));
+  schema.AddColumn({kTsColumn, DatumType::kInt64});
+  schema.AddColumn({kTeColumn, DatumType::kInt64});
+  schema.AddColumn({kLineageColumn, DatumType::kLineage});
+  vec::BatchHashAggregate agg(std::make_unique<vec::TableBatchScan>(&flat),
+                              std::move(group_by), std::move(aggs),
+                              std::move(schema), &manager);
+  return vec::MaterializeBatches(&agg);
+}
+
+constexpr vec::BatchAggFn kCount = vec::BatchAggFn::kCount;
+constexpr vec::BatchAggFn kSum = vec::BatchAggFn::kSum;
+constexpr vec::BatchAggFn kMin = vec::BatchAggFn::kMin;
+constexpr vec::BatchAggFn kMax = vec::BatchAggFn::kMax;
+
 TEST(HashAggregate, CountPerGroup) {
   const Table t = SalesTable();
-  HashAggregate agg(std::make_unique<TableScan>(&t), {0},
-                    {{AggFn::kCount, -1, "n"}});
-  const Table out = Materialize(&agg);
+  const Table out = Aggregate(t, {0}, {{kCount, -1}},
+                              {{"region", DatumType::kString},
+                               {"n", DatumType::kInt64}});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.rows[0][0].AsString(), "east");
   EXPECT_EQ(out.rows[0][1].AsInt64(), 3);
@@ -41,11 +74,12 @@ TEST(HashAggregate, CountPerGroup) {
 
 TEST(HashAggregate, SumMinMax) {
   const Table t = SalesTable();
-  HashAggregate agg(std::make_unique<TableScan>(&t), {0},
-                    {{AggFn::kSum, 1, "total"},
-                     {AggFn::kMin, 2, "lo"},
-                     {AggFn::kMax, 2, "hi"}});
-  const Table out = Materialize(&agg);
+  const Table out =
+      Aggregate(t, {0}, {{kSum, 1}, {kMin, 2}, {kMax, 2}},
+                {{"region", DatumType::kString},
+                 {"total", DatumType::kInt64},
+                 {"lo", DatumType::kDouble},
+                 {"hi", DatumType::kDouble}});
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.rows[0][1].AsInt64(), 12);  // east: 3+2+7
   EXPECT_DOUBLE_EQ(out.rows[0][2].AsDouble(), 0.5);
@@ -55,9 +89,9 @@ TEST(HashAggregate, SumMinMax) {
 
 TEST(HashAggregate, DoubleSum) {
   const Table t = SalesTable();
-  HashAggregate agg(std::make_unique<TableScan>(&t), {0},
-                    {{AggFn::kSum, 2, "revenue"}});
-  const Table out = Materialize(&agg);
+  const Table out = Aggregate(t, {0}, {{kSum, 2}},
+                              {{"region", DatumType::kString},
+                               {"revenue", DatumType::kDouble}});
   EXPECT_DOUBLE_EQ(out.rows[0][1].AsDouble(), 6.0);  // east 1.5+4.0+0.5
 }
 
@@ -66,9 +100,10 @@ TEST(HashAggregate, NullsIgnoredInAggregates) {
   t.schema.AddColumn({"g", DatumType::kInt64});
   t.schema.AddColumn({"v", DatumType::kInt64});
   t.rows = {{I(1), I(5)}, {I(1), Datum::Null()}, {I(1), I(3)}};
-  HashAggregate agg(std::make_unique<TableScan>(&t), {0},
-                    {{AggFn::kSum, 1, "s"}, {AggFn::kCount, -1, "n"}});
-  const Table out = Materialize(&agg);
+  const Table out = Aggregate(t, {0}, {{kSum, 1}, {kCount, -1}},
+                              {{"g", DatumType::kInt64},
+                               {"s", DatumType::kInt64},
+                               {"n", DatumType::kInt64}});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.rows[0][1].AsInt64(), 8);
   EXPECT_EQ(out.rows[0][2].AsInt64(), 3);  // COUNT(*) counts null rows
@@ -77,9 +112,10 @@ TEST(HashAggregate, NullsIgnoredInAggregates) {
 TEST(HashAggregate, EmptyInputNoGroups) {
   Table t;
   t.schema.AddColumn({"g", DatumType::kInt64});
-  HashAggregate agg(std::make_unique<TableScan>(&t), {0},
-                    {{AggFn::kCount, -1, "n"}});
-  EXPECT_EQ(Materialize(&agg).size(), 0u);
+  EXPECT_EQ(Aggregate(t, {0}, {{kCount, -1}},
+                      {{"g", DatumType::kInt64}, {"n", DatumType::kInt64}})
+                .size(),
+            0u);
 }
 
 TEST(HashAggregate, MultiColumnGroups) {
@@ -87,33 +123,27 @@ TEST(HashAggregate, MultiColumnGroups) {
   t.schema.AddColumn({"a", DatumType::kInt64});
   t.schema.AddColumn({"b", DatumType::kInt64});
   t.rows = {{I(1), I(1)}, {I(1), I(2)}, {I(1), I(1)}, {I(2), I(1)}};
-  HashAggregate agg(std::make_unique<TableScan>(&t), {0, 1},
-                    {{AggFn::kCount, -1, "n"}});
-  const Table out = Materialize(&agg);
+  const Table out = Aggregate(t, {0, 1}, {{kCount, -1}},
+                              {{"a", DatumType::kInt64},
+                               {"b", DatumType::kInt64},
+                               {"n", DatumType::kInt64}});
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out.rows[0][2].AsInt64(), 2);  // (1,1)
 }
 
 TEST(Limit, BoundsAndOffsets) {
   const Table t = SalesTable();
-  {
-    Limit limit(std::make_unique<TableScan>(&t), 2);
-    EXPECT_EQ(Materialize(&limit).size(), 2u);
-  }
-  {
-    Limit limit(std::make_unique<TableScan>(&t), 10, 3);
-    const Table out = Materialize(&limit);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out.rows[0][1].AsInt64(), 7);  // 4th row
-  }
-  {
-    Limit limit(std::make_unique<TableScan>(&t), 0);
-    EXPECT_EQ(Materialize(&limit).size(), 0u);
-  }
-  {
-    Limit limit(std::make_unique<TableScan>(&t), 5, 99);
-    EXPECT_EQ(Materialize(&limit).size(), 0u);
-  }
+  const auto limited = [&t](size_t limit, size_t offset) {
+    vec::BatchLimit op(std::make_unique<vec::TableBatchScan>(&t), limit,
+                       offset);
+    return vec::MaterializeBatches(&op);
+  };
+  EXPECT_EQ(limited(2, 0).size(), 2u);
+  const Table out = limited(10, 3);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.rows[0][1].AsInt64(), 7);  // 4th row
+  EXPECT_EQ(limited(0, 0).size(), 0u);
+  EXPECT_EQ(limited(5, 99).size(), 0u);
 }
 
 TEST(Explain, CountsRowsPerNode) {
@@ -122,15 +152,18 @@ TEST(Explain, CountsRowsPerNode) {
   OperatorPtr plan =
       Instrument("scan", std::make_unique<TableScan>(&t), &stats);
   plan = Instrument(
-      "limit", std::make_unique<Limit>(std::move(plan), 3), &stats);
-  EXPECT_EQ(Drain(plan.get()), 3u);
+      "sort",
+      std::make_unique<Sort>(std::move(plan),
+                             std::vector<SortKey>{SortKey{1, true}}),
+      &stats);
+  EXPECT_EQ(Drain(plan.get()), 5u);
   ASSERT_EQ(stats.nodes().size(), 2u);
-  EXPECT_EQ(stats.nodes()[0]->rows, 3u);  // scan pulled 3 times
-  EXPECT_EQ(stats.nodes()[1]->rows, 3u);
+  EXPECT_EQ(stats.nodes()[0]->rows, 5u);  // the sort pulled every row
+  EXPECT_EQ(stats.nodes()[1]->rows, 5u);
   EXPECT_EQ(stats.nodes()[0]->open_calls, 1u);
   const std::string text = stats.ToString();
   EXPECT_NE(text.find("scan"), std::string::npos);
-  EXPECT_NE(text.find("rows=3"), std::string::npos);
+  EXPECT_NE(text.find("rows=5"), std::string::npos);
 }
 
 TEST(Explain, TimeIsInclusiveOfChildren) {

@@ -1,14 +1,14 @@
-// Unit tests of the basic Volcano operators: scan, filter, project, sort,
-// union-all, dedup, materialize, plus schema/row utilities.
+// Unit tests of the basic operators: the row scan, sort, union-all, dedup
+// and materialize, the batch filter and project, plus schema/row
+// utilities.
 #include <gtest/gtest.h>
 
 #include "engine/dedup.h"
-#include "engine/filter.h"
 #include "engine/materialize.h"
-#include "engine/project.h"
 #include "engine/scan.h"
 #include "engine/sort.h"
 #include "engine/union_all.h"
+#include "engine/vector/batch_ops.h"
 
 namespace tpdb {
 namespace {
@@ -24,6 +24,16 @@ Table MakeNumbersTable() {
       {Datum(static_cast<int64_t>(1)), Datum("a")},
   };
   return t;
+}
+
+/// Batch filter on `column = value` over a scan of `t`.
+Table FilterEq(const Table& t, int column, int64_t value) {
+  vec::BatchFilter filter(
+      std::make_unique<vec::TableBatchScan>(&t),
+      vec::VCompare(CompareOp::kEq, /*promote_numeric=*/false,
+                    vec::VOperand::Column(column),
+                    vec::VOperand::Literal(Datum(value))));
+  return vec::MaterializeBatches(&filter);
 }
 
 TEST(Schema, IndexOfAndAdd) {
@@ -78,10 +88,7 @@ TEST(TableScan, ProducesAllRowsAndSupportsReopen) {
 }
 
 TEST(Filter, KeepsOnlyMatchingRows) {
-  const Table t = MakeNumbersTable();
-  Filter filter(std::make_unique<TableScan>(&t),
-                Eq(Col(0), Lit(Datum(static_cast<int64_t>(1)))));
-  const Table out = Materialize(&filter);
+  const Table out = FilterEq(MakeNumbersTable(), 0, 1);
   ASSERT_EQ(out.size(), 2u);
   for (const Row& row : out.rows) EXPECT_EQ(row[0].AsInt64(), 1);
 }
@@ -90,15 +97,14 @@ TEST(Filter, NullPredicateDropsRow) {
   Table t;
   t.schema.AddColumn({"x", DatumType::kInt64});
   t.rows = {{Datum(static_cast<int64_t>(1))}, {Datum::Null()}};
-  Filter filter(std::make_unique<TableScan>(&t),
-                Eq(Col(0), Lit(Datum(static_cast<int64_t>(1)))));
-  EXPECT_EQ(Materialize(&filter).size(), 1u);
+  EXPECT_EQ(FilterEq(t, 0, 1).size(), 1u);
 }
 
 TEST(Project, SelectsReordersRenames) {
   const Table t = MakeNumbersTable();
-  Project project(std::make_unique<TableScan>(&t), {1, 0}, {"n", "i"});
-  const Table out = Materialize(&project);
+  vec::BatchProject project(std::make_unique<vec::TableBatchScan>(&t),
+                            {1, 0}, {"n", "i"});
+  const Table out = vec::MaterializeBatches(&project);
   EXPECT_EQ(out.schema.ToString(), "n:string, i:int64");
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out.rows[0][0].AsString(), "c");
@@ -163,17 +169,24 @@ TEST(Materialize, PreservesSchemaAndOrder) {
 }
 
 TEST(Pipeline, ComposedOperatorsWork) {
-  // σ(id <= 2) then π(name) then sort then dedup over a doubled input.
+  // σ(id <= 2) then π(name) over a doubled input, then dedup.
   const Table t = MakeNumbersTable();
   std::vector<OperatorPtr> children;
   children.push_back(std::make_unique<TableScan>(&t));
   children.push_back(std::make_unique<TableScan>(&t));
-  OperatorPtr plan = std::make_unique<UnionAll>(std::move(children));
-  plan = std::make_unique<Filter>(
-      std::move(plan), Le(Col(0), Lit(Datum(static_cast<int64_t>(2)))));
-  plan = std::make_unique<Project>(std::move(plan), std::vector<int>{1});
-  plan = std::make_unique<Dedup>(std::move(plan));
-  const Table out = Materialize(plan.get());
+  UnionAll both(std::move(children));
+  vec::BatchOperatorPtr plan = std::make_unique<vec::TableBatchScan>(
+      std::make_unique<Table>(Materialize(&both)));
+  plan = std::make_unique<vec::BatchFilter>(
+      std::move(plan),
+      vec::VCompare(CompareOp::kLe, /*promote_numeric=*/false,
+                    vec::VOperand::Column(0),
+                    vec::VOperand::Literal(Datum(static_cast<int64_t>(2)))));
+  plan = std::make_unique<vec::BatchProject>(std::move(plan),
+                                             std::vector<int>{1});
+  const Table projected = vec::MaterializeBatches(plan.get());
+  Dedup dedup(std::make_unique<TableScan>(&projected));
+  const Table out = Materialize(&dedup);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.rows[0][0].AsString(), "a");
   EXPECT_EQ(out.rows[1][0].AsString(), "b");

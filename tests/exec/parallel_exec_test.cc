@@ -10,9 +10,9 @@
 #include "common/random.h"
 #include "datasets/generator.h"
 #include "engine/expr.h"
-#include "engine/filter.h"
 #include "engine/materialize.h"
 #include "engine/scan.h"
+#include "engine/vector/batch_ops.h"
 #include "exec/parallel.h"
 #include "lineage/probability.h"
 
@@ -172,21 +172,32 @@ TEST_F(ParallelExecTest, PipelineMergeIsByteIdentical) {
   const std::unique_ptr<Workload> w = MakeWorkload(11, 1500);
   const Table input = w->r->ToTable();
 
-  const PipelineFactory factory =
-      [](OperatorPtr source) -> StatusOr<OperatorPtr> {
+  const BatchChainFactory chain =
+      [](vec::BatchOperatorPtr source) -> StatusOr<vec::BatchOperatorPtr> {
     // keep rows with key < 60 (roughly a third of the key space)
-    ExprPtr pred = Compare(CompareOp::kLt, Col(0, "key"),
-                           Lit(Datum(static_cast<int64_t>(60))));
-    return OperatorPtr(
-        std::make_unique<Filter>(std::move(source), std::move(pred)));
+    return vec::BatchOperatorPtr(std::make_unique<vec::BatchFilter>(
+        std::move(source),
+        vec::VCompare(CompareOp::kLt, /*promote_numeric=*/false,
+                      vec::VOperand::Column(0),
+                      vec::VOperand::Literal(Datum(static_cast<int64_t>(60))))));
   };
 
-  StatusOr<OperatorPtr> serial_op = factory(std::make_unique<TableScan>(&input));
+  StatusOr<vec::BatchOperatorPtr> serial_op =
+      chain(std::make_unique<vec::TableBatchScan>(&input));
   ASSERT_TRUE(serial_op.ok());
-  const Table serial = Materialize(serial_op->get());
+  const Table serial = vec::MaterializeBatches(serial_op->get());
 
   ExecContext ctx = MakeParallelContext(&pool_);
-  StatusOr<Table> parallel = ParallelPipeline(&ctx, input, factory);
+  const std::vector<Morsel> morsels =
+      MakeMorsels(input.rows.size(), ctx.options().morsel_size);
+  ASSERT_GE(morsels.size(), 2u);
+  StatusOr<Table> parallel = ParallelBatchPipeline(
+      &ctx, morsels.size(),
+      [&](size_t i) -> StatusOr<vec::BatchOperatorPtr> {
+        return vec::BatchOperatorPtr(std::make_unique<vec::TableBatchScan>(
+            &input, morsels[i].begin, morsels[i].end));
+      },
+      chain);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   ASSERT_EQ(serial.rows.size(), parallel->rows.size());
@@ -199,11 +210,17 @@ TEST_F(ParallelExecTest, PipelinePropagatesFactoryErrors) {
   const std::unique_ptr<Workload> w = MakeWorkload(5, 1000);
   const Table input = w->r->ToTable();
   ExecContext ctx = MakeParallelContext(&pool_);
-  StatusOr<Table> result = ParallelPipeline(
-      &ctx, input, [](OperatorPtr) -> StatusOr<OperatorPtr> {
+  StatusOr<Table> result = ParallelBatchPipeline(
+      &ctx, 4,
+      [&](size_t) -> StatusOr<vec::BatchOperatorPtr> {
+        return vec::BatchOperatorPtr(
+            std::make_unique<vec::TableBatchScan>(&input));
+      },
+      [](vec::BatchOperatorPtr) -> StatusOr<vec::BatchOperatorPtr> {
         return Status::InvalidArgument("factory failure");
       });
-  EXPECT_FALSE(result.ok());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().message(), "factory failure");
 }
 
 TEST_F(ParallelExecTest, RepeatedRunsAreDeterministic) {
