@@ -114,11 +114,15 @@ struct ChainRun {
   VectorStats vector;
   StorageStats storage;
   bool cold = false;
+  /// `table` is a merge's or a sort's output, whose rows were already
+  /// counted as scanned when the source was read.
+  bool intermediate = false;
   NodeStats* cold_scan = nullptr;  ///< serial cold source, filled by Report
 
   vec::BatchOperatorPtr TakeBatches() {
     if (op == nullptr)
-      return std::make_unique<vec::TableBatchScan>(std::move(table), &vector);
+      return std::make_unique<vec::TableBatchScan>(
+          std::move(table), intermediate ? nullptr : &vector);
     return std::move(op);
   }
   /// The rows as a table; `last` counts them as the chain's output.
@@ -401,6 +405,7 @@ Status Planner::RunChain(const ChainExec& chain, ChainRun* run,
       ReportNode(stats, chain.exchange, chain.exchange->Label(),
                  merged->rows.size(), SecondsSince(start));
       run->table = std::make_unique<Table>(std::move(*merged));
+      run->intermediate = true;
       next = chain.parallel_prefix;
     }
   }
@@ -422,6 +427,7 @@ Status Planner::RunChain(const ChainExec& chain, ChainRun* run,
                                          run->manager, stats, prob_base);
       if (!sorted.ok()) return sorted.status();
       run->table = std::make_unique<Table>(std::move(*sorted));
+      run->intermediate = true;
       ++next;
       continue;
     }

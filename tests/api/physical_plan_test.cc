@@ -201,23 +201,29 @@ TEST_F(PhysicalPlanTest, ProjectionPruningCollapsesAndDropsIdentity) {
 
 // -- Mode selection --------------------------------------------------------
 
+/// Fills `db` with the 2 560-row `events` relation the cold fixture saves.
+void AddEvents(TPDatabase* db) {
+  StatusOr<TPRelation*> rel = db->CreateRelation(
+      "events",
+      Schema({{"key", DatumType::kInt64}, {"val", DatumType::kDouble}}));
+  ASSERT_TRUE(rel.ok());
+  Random rng(13);
+  for (int64_t i = 0; i < 2560; ++i)
+    ASSERT_TRUE((*rel)
+                    ->AppendBase({Datum(i % 97),
+                                  Datum(static_cast<double>(i) / 4.0)},
+                                 Interval(i, i + 2),
+                                 0.2 + 0.6 * rng.NextDouble())
+                    .ok());
+}
+
 class PhysicalPlanColdTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = TempPath("physical_plan_cold.tpdb");
     TPDatabase source;
-    StatusOr<TPRelation*> rel = source.CreateRelation(
-        "events", Schema({{"key", DatumType::kInt64},
-                          {"val", DatumType::kDouble}}));
-    ASSERT_TRUE(rel.ok());
-    Random rng(13);
-    for (int64_t i = 0; i < 2560; ++i)
-      ASSERT_TRUE((*rel)
-                      ->AppendBase({Datum(i % 97),
-                                    Datum(static_cast<double>(i) / 4.0)},
-                                   Interval(i, i + 2),
-                                   0.2 + 0.6 * rng.NextDouble())
-                      .ok());
+    AddEvents(&source);
+    if (HasFatalFailure()) return;
     storage::SnapshotOptions options;
     options.segment_rows = 512;  // 5 segments
     ASSERT_TRUE(source.SaveSnapshot(path_, options).ok());
@@ -343,6 +349,44 @@ TEST_F(PhysicalPlanColdTest, ExplainReportsPruningOnTheParallelMorselRoute) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_NE(Find(*baseline, "segments scanned: 1"), -1) << *baseline;
   EXPECT_NE(Find(*baseline, "segments skipped: 4"), -1) << *baseline;
+}
+
+/// The count after `rows scanned: ` in an Explain text, or -1.
+long long RowsScanned(const std::string& text) {
+  const ptrdiff_t at = Find(text, "rows scanned: ");
+  if (at < 0) return -1;
+  return std::stoll(text.substr(at + 14));
+}
+
+TEST_F(PhysicalPlanColdTest, ExplainCountsEachSourceRowScannedOnce) {
+  // A parallel region's merged table and a sort's output are rescanned as
+  // batches by the stages above them; those rescans must not count as
+  // scanned rows again. No zone map prunes `key >= 10` (every segment
+  // holds keys 0..96), so every route scans the 2 560 rows once.
+  TPDatabase warm;
+  AddEvents(&warm);
+  ASSERT_FALSE(HasFatalFailure());
+  for (TPDatabase* db : {&warm, &cold_}) {
+    for (int parallelism : {1, 4}) {
+      SessionOptions options;
+      options.parallelism = parallelism;
+      options.min_parallel_rows = 64;
+      options.morsel_size = 256;
+      for (const std::string& query : std::vector<std::string>{
+               "SELECT key, COUNT(*) FROM events WHERE key >= 10 GROUP BY key",
+               "SELECT key FROM events WHERE key >= 10 LIMIT 3000",
+               "SELECT key, val FROM events WHERE key >= 10 ORDER BY val LIMIT 5",
+           }) {
+        SCOPED_TRACE(query + (db == &cold_ ? " cold" : " warm") +
+                     " parallelism " + std::to_string(parallelism));
+        StatusOr<std::string> text = Session(db, options).Explain(query);
+        ASSERT_TRUE(text.ok()) << text.status().ToString();
+        if (parallelism > 1)
+          EXPECT_NE(Find(*text, "Exchange[4 workers]"), -1) << *text;
+        EXPECT_EQ(RowsScanned(*text), 2560) << *text;
+      }
+    }
+  }
 }
 
 TEST_F(PhysicalPlanColdTest, ExplainRendersEstimatesNextToActuals) {

@@ -147,6 +147,25 @@ TEST(Limit, BoundsAndOffsets) {
 }
 
 TEST(Explain, CountsRowsPerNode) {
+  // The count is the rows a consumer pulled, not the input's size: stop
+  // after 3 of the 5 rows.
+  const Table t = SalesTable();
+  ExecStats stats;
+  OperatorPtr scan =
+      Instrument("scan", std::make_unique<TableScan>(&t), &stats);
+  scan->Open();
+  Row row;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(scan->Next(&row));
+  scan->Close();
+  ASSERT_EQ(stats.nodes().size(), 1u);
+  EXPECT_EQ(stats.nodes()[0]->rows, 3u);
+  EXPECT_EQ(stats.nodes()[0]->open_calls, 1u);
+  const std::string text = stats.ToString();
+  EXPECT_NE(text.find("scan"), std::string::npos);
+  EXPECT_NE(text.find("rows=3"), std::string::npos);
+}
+
+TEST(Explain, CountsRowsPerNodeUnderASort) {
   const Table t = SalesTable();
   ExecStats stats;
   OperatorPtr plan =
