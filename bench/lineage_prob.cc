@@ -20,8 +20,11 @@
 //
 // The process exits non-zero if (a) any compiled probability diverges from
 // exact by more than 1e-9, (b) compiled re-evaluation fails to beat exact
-// Shannon by at least 5x on the deepest entangled formula, or (c) the
-// APPROX estimate falls outside its eps bound on more than 5% of seeds.
+// Shannon by at least 5x on the deepest entangled formula, (c) an
+// evaluator under APPROX(eps, delta) samples any entangled formula the
+// circuit budget covers, or returns a value more than 1e-9 from exact, or
+// (d) the APPROX estimate falls outside its eps bound on more than 5% of
+// seeds.
 //
 //   ./bench/bench_lineage_prob [out.json]
 //
@@ -219,6 +222,32 @@ int Main(int argc, char** argv) {
                 shared_reuse);
   }
 
+  // The APPROX ladder: under APPROX(eps, delta) an evaluator still serves
+  // the entangled family from the compiled rung, within budget — no sample
+  // drawn, and the exact values.
+  uint8_t approx_ladder_methods = 0;
+  double approx_ladder_divergence = 0.0;
+  for (const int depth : families.back().depths) {
+    LineageManager fresh;  // no memo entries from the runs above
+    const LineageRef lam = MakeEntangled(&fresh, depth);
+    const double exact_p = ProbabilityEngine(&fresh).Probability(lam);
+    fresh.SetVariableProbability(0, fresh.VariableProbability(0));
+    ProbEvalOptions opts;
+    opts.approx_eps = kApproxEps;
+    opts.approx_delta = kApproxDelta;
+    ProbabilityEvaluator evaluator(&fresh, opts);
+    const double p = evaluator.Probability(lam);
+    approx_ladder_methods |= evaluator.methods_used();
+    approx_ladder_divergence =
+        std::max(approx_ladder_divergence, std::abs(p - exact_p));
+  }
+  const bool approx_ladder_ok =
+      (approx_ladder_methods & kProbMethodMonteCarlo) == 0 &&
+      approx_ladder_divergence <= kMaxDivergence;
+  std::printf("approx ladder: entangled methods %s, max divergence %.3e\n",
+              ProbMethodsLabel(approx_ladder_methods).c_str(),
+              approx_ladder_divergence);
+
   // APPROX(eps, delta) contract: the estimate must land within eps of the
   // exact probability on at least 95% of seeds.
   int approx_hits = 0;
@@ -273,10 +302,12 @@ int Main(int argc, char** argv) {
       "  \"gates\": {\"max_divergence\": %.3e, \"divergence_ok\": %s, "
       "\"compiled_speedup\": %.3f, \"required_speedup\": %.1f, "
       "\"approx_hit_rate\": %.3f, \"required_hit_rate\": %.2f, "
-      "\"shared_reuse_ratio\": %.4f}\n}\n",
+      "\"shared_reuse_ratio\": %.4f, \"approx_ladder_methods\": \"%s\", "
+      "\"approx_ladder_max_divergence\": %.3e, \"approx_ladder_ok\": %s}\n}\n",
       worst_divergence, divergence_ok ? "true" : "false", compiled_speedup,
       kRequiredCompiledSpeedup, approx_hit_rate, kApproxRequiredHitRate,
-      shared_reuse);
+      shared_reuse, ProbMethodsLabel(approx_ladder_methods).c_str(),
+      approx_ladder_divergence, approx_ladder_ok ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -290,6 +321,15 @@ int Main(int argc, char** argv) {
                  "FAIL: compiled speedup %.2fx < required %.1fx on the "
                  "deepest entangled formula\n",
                  compiled_speedup, kRequiredCompiledSpeedup);
+    return 1;
+  }
+  if (!approx_ladder_ok) {
+    std::fprintf(stderr,
+                 "FAIL: APPROX over the entangled family used %s (divergence "
+                 "%.3e); it must stay on the exact/compiled rungs within "
+                 "%.1e\n",
+                 ProbMethodsLabel(approx_ladder_methods).c_str(),
+                 approx_ladder_divergence, kMaxDivergence);
     return 1;
   }
   if (!approx_ok) {

@@ -121,8 +121,9 @@ struct SelectStatement {
   /// tuples whose exact lineage probability clears the threshold.
   std::optional<double> min_prob;
   bool min_prob_strict = false;
-  /// WITH PROB APPROX(eps, delta) >= p: evaluate probabilities by sampling
-  /// to P(|p̂ − p| ≤ eps) ≥ 1 − delta instead of exactly. 0 = exact.
+  /// WITH PROB APPROX(eps, delta) >= p: exact where affordable; a
+  /// probability the circuit budget cannot compile is sampled to
+  /// P(|p̂ − p| ≤ eps) ≥ 1 − delta. 0 = no contract.
   double approx_eps = 0.0;
   double approx_delta = 0.0;
 };

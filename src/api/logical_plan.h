@@ -59,7 +59,7 @@ struct LogicalNode {
   int64_t offset = 0;                        // kLimit
   double min_prob = 0.0;                     // kProbThreshold
   bool min_prob_strict = false;              // kProbThreshold
-  double approx_eps = 0.0;                   // kProbThreshold (0 = exact)
+  double approx_eps = 0.0;                   // kProbThreshold (0 = none)
   double approx_delta = 0.0;                 // kProbThreshold
   std::string snapshot_path;                 // kSaveSnapshot / kLoadSnapshot
 

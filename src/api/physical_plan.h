@@ -93,7 +93,8 @@ struct PhysicalNode {
   bool is_prob = false;        ///< probability-threshold form
   double min_prob = 0.0;
   bool min_prob_strict = false;
-  /// APPROX(eps, delta) sampling contract (0 = exact evaluation).
+  /// APPROX(eps, delta): the precision of any sampled value (0 = the
+  /// evaluator's fallback precision).
   double approx_eps = 0.0;
   double approx_delta = 0.0;
   /// ProbMethod bitmask of the evaluation rungs the node actually used,

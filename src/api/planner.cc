@@ -89,16 +89,14 @@ TPSetOpKind MapSetOpKind(SetOpKind kind) {
   return TPSetOpKind::kUnion;
 }
 
-/// The planner-wide probability-evaluation knobs. Per-stage APPROX
-/// contracts layer on top inside the lowering helpers (StageProbOptions).
+}  // namespace
+
 ProbEvalOptions BaseProbOptions(const PlannerOptions& options) {
   ProbEvalOptions prob;
   prob.max_circuit_nodes = options.prob_compile_budget;
   prob.mc_seed = options.prob_mc_seed;
   return prob;
 }
-
-}  // namespace
 
 /// One chain's execution state. Its rows between stages are materialized
 /// (a warm source, a sort's output, a parallel region's ordered merge) or

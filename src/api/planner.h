@@ -28,6 +28,7 @@
 #include "api/physical_plan.h"
 #include "common/status.h"
 #include "engine/explain.h"
+#include "lineage/compile/prob_eval.h"
 #include "tp/overlap_join.h"
 #include "tp/tp_relation.h"
 
@@ -60,11 +61,16 @@ struct PlannerOptions {
   /// Node budget for compiled probability circuits: lineage formulas whose
   /// compilation would exceed this fall back to Monte-Carlo sampling.
   size_t prob_compile_budget = size_t{1} << 20;
-  /// Base seed of the Monte-Carlo probability path (`WITH PROB
-  /// APPROX(eps, delta)` and budget fallbacks). Per-formula streams are
-  /// derived from it, so runs with equal seeds reproduce exactly.
+  /// Base seed of the Monte-Carlo probability path (lineage over the
+  /// circuit budget). Per-formula streams are derived from it, so runs
+  /// with equal seeds reproduce exactly.
   uint64_t prob_mc_seed = 42;
 };
+
+/// The planner-wide probability-evaluation knobs of `options`: circuit
+/// budget and Monte-Carlo seed. A stage's APPROX contract layers on top
+/// (StageProbOptions); the server's `_prob` column uses them as they are.
+ProbEvalOptions BaseProbOptions(const PlannerOptions& options);
 
 /// Executes logical plans against one database's catalog.
 class Planner {

@@ -95,8 +95,8 @@ class BatchProject final : public BatchOperator {
 /// WITH PROB — deselects rows whose lineage probability misses the
 /// threshold. Probabilities run through the evaluation ladder
 /// (lineage/compile/prob_eval.h): exact on decomposable lineage, compiled
-/// circuit otherwise, sampled under `APPROX(eps, delta)` or when the
-/// circuit budget blows up.
+/// circuit otherwise, sampled only when the circuit budget blows up — to
+/// the stage's `APPROX(eps, delta)` if it has one.
 class BatchProbThreshold final : public BatchOperator {
  public:
   /// `methods_out`, when given, receives the ProbMethod bitmask of the

@@ -68,20 +68,18 @@ bool ProbabilityEvaluator::Decomposable(LineageRef r) {
 
 double ProbabilityEvaluator::Probability(LineageRef r) {
   TPDB_CHECK(!r.is_null()) << "probability of null lineage";
-  if (opts_.approx_eps > 0.0) {
-    methods_ |= kProbMethodMonteCarlo;
-    return SampledProbability(r, opts_.approx_eps, opts_.approx_delta);
-  }
   double cached = 0.0;
   if (mgr_->LookupProbability(r, &cached)) {
     // Memoized exact value (stored by either exact or compiled runs).
+    RecordProbabilityEvaluation(/*memo_hit=*/true);
     methods_ |= kProbMethodExact;
     return cached;
   }
   if (Decomposable(r)) {
     methods_ |= kProbMethodExact;
-    return ProbabilityEngine(mgr_).Probability(r);
+    return ProbabilityEngine(mgr_).Probability(r);  // counts itself
   }
+  RecordProbabilityEvaluation(/*memo_hit=*/false);
   return CompiledProbability(r);
 }
 
@@ -92,9 +90,12 @@ double ProbabilityEvaluator::CompiledProbability(LineageRef r) {
   const uint64_t epoch = mgr_->probability_epoch();
   auto root = compiler_.Compile(r);
   if (!root.ok()) {
-    // Circuit budget exhausted: sample instead. Never cached — it is an
-    // estimate, not the exact value the memo promises.
+    // Circuit budget exhausted: sample instead, to the query's APPROX
+    // contract if it has one. Never cached — it is an estimate, not the
+    // exact value the memo promises.
     methods_ |= kProbMethodMonteCarlo;
+    if (opts_.approx_eps > 0.0)
+      return SampledProbability(r, opts_.approx_eps, opts_.approx_delta);
     return SampledProbability(r, opts_.fallback_eps, opts_.fallback_delta);
   }
   methods_ |= kProbMethodCompiled;

@@ -10,9 +10,14 @@
 //   2. compiled   — otherwise compile to an arithmetic circuit under a node
 //                   budget (subcircuits shared across the query's tuples)
 //                   and evaluate with a linear pass;
-//   3. monte carlo— the circuit budget blew up (#P-hard worst case), or the
-//                   query asked for `WITH PROB APPROX(eps, delta)`:
+//   3. monte carlo— the circuit budget blew up (#P-hard worst case):
 //                   possible-world sampling with an (eps, delta) guarantee.
+//
+// Before the ladder, the manager's memo answers any formula whose exact
+// value is already known. `WITH PROB APPROX(eps, delta)` is a contract,
+// not a method: the ladder runs unchanged, so every value the exact or
+// compiled rung can give is the exact one, and (eps, delta) only bounds
+// what rung 3 may return. Sampled estimates never enter the memo.
 //
 // The evaluator records which rungs it used as a bitmask so Explain can
 // surface `prob=exact|compiled|mc` per plan node.
@@ -44,9 +49,9 @@ std::string ProbMethodsLabel(uint8_t mask);
 struct ProbEvalOptions {
   /// Circuit-size budget before falling back to sampling.
   size_t max_circuit_nodes = size_t{1} << 20;
-  /// Approximation contract: eps > 0 requests `APPROX(eps, delta)`
-  /// semantics — every probability is sampled to P(|p̂−p| ≤ eps) ≥ 1−delta
-  /// and the exact/compiled rungs are skipped.
+  /// Approximation contract: eps > 0 means `APPROX(eps, delta)` — a
+  /// formula the circuit budget cannot compile is sampled to
+  /// P(|p̂−p| ≤ eps) ≥ 1−delta. Exact and compiled values are unaffected.
   double approx_eps = 0.0;
   double approx_delta = 0.05;
   /// Base seed for sampling; per-formula seeds are derived from it and the

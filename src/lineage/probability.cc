@@ -29,6 +29,11 @@ struct ProbMetrics {
 
 }  // namespace
 
+void RecordProbabilityEvaluation(bool memo_hit) {
+  ProbMetrics::Get().evals->Add();
+  if (memo_hit) ProbMetrics::Get().memo_hits->Add();
+}
+
 bool ProbabilityEngine::SharesVariables(LineageRef a, LineageRef b) {
   const std::vector<VarId>& va = mgr_->Variables(a);
   const std::vector<VarId>& vb = mgr_->Variables(b);
@@ -119,25 +124,6 @@ double ProbabilityEngine::ProbRec(LineageRef r) {
   }
   mgr_->StoreProbability(r, result, epoch_);
   return result;
-}
-
-double ProbabilityEngine::BruteForceProbability(LineageRef r) {
-  const std::vector<VarId> vars = mgr_->Variables(r);  // copy: arena may grow
-  TPDB_CHECK_LE(vars.size(), 24u) << "brute force: too many variables";
-  std::vector<bool> assignment(mgr_->num_variables(), false);
-  double total = 0.0;
-  const uint64_t limit = 1ull << vars.size();
-  for (uint64_t mask = 0; mask < limit; ++mask) {
-    double world = 1.0;
-    for (size_t i = 0; i < vars.size(); ++i) {
-      const bool value = (mask >> i) & 1;
-      assignment[vars[i]] = value;
-      const double pv = mgr_->VariableProbability(vars[i]);
-      world *= value ? pv : 1.0 - pv;
-    }
-    if (mgr_->Evaluate(r, assignment)) total += world;
-  }
-  return total;
 }
 
 }  // namespace tpdb

@@ -35,10 +35,6 @@ class ProbabilityEngine {
   /// exposed for tests and the ablation bench).
   uint64_t shannon_expansions() const { return shannon_expansions_; }
 
-  /// Brute-force possible-worlds probability; exponential in the number of
-  /// variables (capped at 24). Reference oracle for tests.
-  double BruteForceProbability(LineageRef r);
-
  private:
   double ProbRec(LineageRef r);
   /// True iff the sorted variable sets of `a` and `b` intersect.
@@ -50,6 +46,12 @@ class ProbabilityEngine {
   /// LineageManager::StoreProbability).
   uint64_t epoch_ = 0;
 };
+
+/// Counts one top-level evaluation that the evaluation ladder answered
+/// without this engine (from the memo, a circuit or samples) in
+/// `tpdb_prob_evals_total`, and in `tpdb_prob_dag_memo_hits_total` when the
+/// memo answered it, so the counters cover every caller of either path.
+void RecordProbabilityEvaluation(bool memo_hit);
 
 }  // namespace tpdb
 

@@ -14,7 +14,7 @@
 #include "common/logging.h"
 #include "engine/vector/column_batch.h"
 #include "exec/thread_pool.h"
-#include "lineage/probability.h"
+#include "lineage/compile/prob_eval.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/socket.h"
@@ -689,7 +689,10 @@ void Server::RunQuery(std::shared_ptr<Connection> conn, MsgType kind,
       wire->schema.AddColumn({kTsColumn, DatumType::kInt64});
       wire->schema.AddColumn({kTeColumn, DatumType::kInt64});
       wire->schema.AddColumn({kProbColumn, DatumType::kDouble});
-      ProbabilityEngine engine(result->manager());
+      // One evaluator per result: memo, exact decomposition, the circuit
+      // within the session's budget, and sampling only past it.
+      ProbabilityEvaluator evaluator(
+          result->manager(), BaseProbOptions(conn->session.options()));
       wire->rows.reserve(result->size());
       const size_t num_cols = wire->schema.num_columns();
       for (const TPTuple& t : result->tuples()) {
@@ -698,7 +701,7 @@ void Server::RunQuery(std::shared_ptr<Connection> conn, MsgType kind,
         for (const Datum& d : t.fact) row.push_back(d);
         row.push_back(Datum(static_cast<int64_t>(t.interval.start)));
         row.push_back(Datum(static_cast<int64_t>(t.interval.end)));
-        row.push_back(Datum(engine.Probability(t.lineage)));
+        row.push_back(Datum(evaluator.Probability(t.lineage)));
         wire->approx_bytes += ApproxRowBytes(row);
         wire->rows.push_back(std::move(row));
       }

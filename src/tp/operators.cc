@@ -136,13 +136,21 @@ StatusOr<TPRelation> LineageAwareJoin(TPJoinKind kind, const TPRelation& r,
   const OverlapAlgorithm algorithm =
       ChooseOverlapAlgorithm(options.overlap_algorithm, r, s, theta);
   const JoinPipelines pipelines = LineageAwareJoinPipelines(kind);
+  // Every pipeline reads both inputs flattened; flatten each once, so a
+  // full outer join's two pipelines share the tables.
+  const auto r_table = std::make_shared<const Table>(r.ToTable());
+  const auto s_table = std::make_shared<const Table>(s.ToTable());
   if (pipelines.r_driven) {
+    const OverlapProbeSide probe{s_table, nullptr};
     TPDB_RETURN_IF_ERROR(RunLineageAwareJoinPipeline(
-        kind, /*s_driven=*/false, r, s, theta, algorithm, &result));
+        kind, /*s_driven=*/false, r, s, theta, algorithm, &result, &probe,
+        r_table));
   }
   if (pipelines.s_driven) {
+    const OverlapProbeSide probe{r_table, nullptr};
     TPDB_RETURN_IF_ERROR(RunLineageAwareJoinPipeline(
-        kind, /*s_driven=*/true, r, s, theta, algorithm, &result));
+        kind, /*s_driven=*/true, r, s, theta, algorithm, &result, &probe,
+        s_table));
   }
   return result;
 }
@@ -162,7 +170,8 @@ Status RunLineageAwareJoinPipeline(TPJoinKind kind, bool s_driven,
                                    const JoinCondition& theta,
                                    OverlapAlgorithm algorithm,
                                    TPRelation* result,
-                                   const OverlapProbeSide* probe) {
+                                   const OverlapProbeSide* probe,
+                                   std::shared_ptr<const Table> driving_table) {
   TPDB_CHECK(result != nullptr);
   LineageManager* manager = r.manager();
   const WindowStage stage =
@@ -171,8 +180,8 @@ Status RunLineageAwareJoinPipeline(TPJoinKind kind, bool s_driven,
   if (!s_driven) {
     TPDB_CHECK(kind != TPJoinKind::kRightOuter)
         << "right outer join has no r-driven pipeline";
-    StatusOr<WindowPlan> plan =
-        MakeWindowPlan(r, s, theta, stage, algorithm, probe);
+    StatusOr<WindowPlan> plan = MakeWindowPlan(r, s, theta, stage, algorithm,
+                                               probe, std::move(driving_table));
     if (!plan.ok()) return plan.status();
     return EmitWindows(plan->root.get(), plan->layout, manager,
                        MakeEmitSpec(kind, /*s_driven=*/false), result);
@@ -182,7 +191,8 @@ Status RunLineageAwareJoinPipeline(TPJoinKind kind, bool s_driven,
              kind == TPJoinKind::kFullOuter)
       << "only the outer-join kinds run an s-driven pipeline";
   StatusOr<WindowPlan> plan =
-      MakeWindowPlan(s, r, SwapJoinCondition(theta), stage, algorithm, probe);
+      MakeWindowPlan(s, r, SwapJoinCondition(theta), stage, algorithm, probe,
+                     std::move(driving_table));
   if (!plan.ok()) return plan.status();
   return EmitWindows(plan->root.get(), plan->layout, manager,
                      MakeEmitSpec(kind, /*s_driven=*/true), result);

@@ -15,6 +15,7 @@
 #ifndef TPDB_TP_OPERATORS_H_
 #define TPDB_TP_OPERATORS_H_
 
+#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -127,15 +128,17 @@ JoinPipelines LineageAwareJoinPipelines(TPJoinKind kind);
 /// Serial LineageAwareJoin == r-driven pipeline, then s-driven pipeline.
 /// With `probe` (a MakeWindowProbeSide over the pipeline's probe input —
 /// s for the r-driven pipeline, r for the s-driven one), the window plan
-/// reuses the shared flattened table + partitioned build. `algorithm` must
-/// be resolved already (ChooseOverlapAlgorithm), so both pipelines and all
-/// morsels of one join run the same plan.
-Status RunLineageAwareJoinPipeline(TPJoinKind kind, bool s_driven,
-                                   const TPRelation& r, const TPRelation& s,
-                                   const JoinCondition& theta,
-                                   OverlapAlgorithm algorithm,
-                                   TPRelation* result,
-                                   const OverlapProbeSide* probe = nullptr);
+/// reuses the shared flattened table + partitioned build; with
+/// `driving_table` (the driving input already flattened — r for the
+/// r-driven pipeline, s for the s-driven one), it scans that table instead
+/// of flattening the input again. `algorithm` must be resolved already
+/// (ChooseOverlapAlgorithm), so both pipelines and all morsels of one join
+/// run the same plan.
+Status RunLineageAwareJoinPipeline(
+    TPJoinKind kind, bool s_driven, const TPRelation& r, const TPRelation& s,
+    const JoinCondition& theta, OverlapAlgorithm algorithm,
+    TPRelation* result, const OverlapProbeSide* probe = nullptr,
+    std::shared_ptr<const Table> driving_table = nullptr);
 
 }  // namespace tpdb
 

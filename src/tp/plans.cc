@@ -11,12 +11,15 @@ StatusOr<WindowPlan> MakeWindowPlan(const TPRelation& r, const TPRelation& s,
                                     const JoinCondition& theta,
                                     WindowStage stage,
                                     OverlapAlgorithm algorithm,
-                                    const OverlapProbeSide* probe) {
+                                    const OverlapProbeSide* probe,
+                                    std::shared_ptr<const Table> r_table) {
   if (r.manager() != s.manager())
     return Status::InvalidArgument(
         "TP relations must share a LineageManager");
   WindowPlan plan;
-  plan.r_table = std::make_unique<Table>(r.ToTable());
+  plan.r_table = r_table != nullptr
+                     ? std::move(r_table)
+                     : std::make_shared<const Table>(r.ToTable());
   plan.s_table = probe != nullptr
                      ? probe->s_table
                      : std::make_shared<const Table>(s.ToTable());

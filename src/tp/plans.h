@@ -25,10 +25,11 @@ enum class WindowStage {
 
 /// A runnable window pipeline plus the materialized inputs it scans.
 /// Move-only; the tables are heap-allocated so operators' pointers stay
-/// valid across moves. The probe table is shared: morsel plans built by
-/// the parallel runtime all point at one flattened s.
+/// valid across moves. Both tables may be shared: morsel plans built by the
+/// parallel runtime all point at one flattened s, and the two pipelines of
+/// a full outer join read the same flattened r and s.
 struct WindowPlan {
-  std::unique_ptr<Table> r_table;
+  std::shared_ptr<const Table> r_table;
   std::shared_ptr<const Table> s_table;
   WindowLayout layout{0, 0};
   OperatorPtr root;
@@ -39,13 +40,15 @@ struct WindowPlan {
 /// stage benches time what the paper times. With `probe`
 /// (from MakeWindowProbeSide over the same `s`), the plan reuses the
 /// shared flattened table and partitioned build instead of re-deriving
-/// them — the parallel driver's path, where `r` is one morsel.
-StatusOr<WindowPlan> MakeWindowPlan(const TPRelation& r, const TPRelation& s,
-                                    const JoinCondition& theta,
-                                    WindowStage stage,
-                                    OverlapAlgorithm algorithm =
-                                        OverlapAlgorithm::kPartitioned,
-                                    const OverlapProbeSide* probe = nullptr);
+/// them — the parallel driver's path, where `r` is one morsel. With
+/// `r_table` (r.ToTable(), flattened by the caller), the plan scans it
+/// instead of flattening r again.
+StatusOr<WindowPlan> MakeWindowPlan(
+    const TPRelation& r, const TPRelation& s, const JoinCondition& theta,
+    WindowStage stage,
+    OverlapAlgorithm algorithm = OverlapAlgorithm::kPartitioned,
+    const OverlapProbeSide* probe = nullptr,
+    std::shared_ptr<const Table> r_table = nullptr);
 
 /// Flattens and (for the partitioned algorithm) hash-partitions `s` once,
 /// for sharing across many MakeWindowPlan calls.

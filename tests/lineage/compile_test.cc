@@ -1,9 +1,9 @@
 // Knowledge compilation and the evaluation ladder: compiled circuits must
 // agree with the exact engine (and, where tractable, the possible-worlds
 // oracle) on arbitrary formulas; the ladder must route each formula to the
-// right rung; re-evaluation after a probability update must not recompile;
-// and concurrent evaluators over one shared arena must be race-free (the
-// TSAN job runs this suite).
+// right rung, under an APPROX contract too; re-evaluation after a
+// probability update must not recompile; and concurrent evaluators over one
+// shared arena must be race-free (the TSAN job runs this suite).
 #include "lineage/compile/compile.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "lineage/compile/prob_eval.h"
 #include "lineage/monte_carlo.h"
 #include "lineage/probability.h"
+#include "tests/reference/reference.h"
 
 namespace tpdb {
 namespace {
@@ -104,8 +105,7 @@ TEST(LineageCompileTest, CompiledMatchesExactAndBruteForce) {
     // stored value so the Shannon engine recomputes independently.
     ProbabilityEvaluator evaluator(&mgr, ProbEvalOptions{});
     const double evaluated = evaluator.Probability(lam);
-    ProbabilityEngine engine(&mgr);
-    const double brute = engine.BruteForceProbability(lam);
+    const double brute = testing::BruteForceProbability(&mgr, lam);
     mgr.SetVariableProbability(0, mgr.VariableProbability(0));
     const double exact = ProbabilityEngine(&mgr).Probability(lam);
 
@@ -248,18 +248,89 @@ TEST(ProbEvalTest, BudgetExhaustionFallsBackToSampling) {
   EXPECT_NEAR(sampled, engine.Probability(lam), 0.05);
 }
 
-TEST(ProbEvalTest, ApproxContractSkipsExactRungs) {
+/// (v1 ∨ v2) ∧ (v2 ∨ v3) ∧ … over `n` fresh variables: adjacent clauses
+/// share a variable, so no rung but compilation or sampling applies.
+LineageRef MakeChain(LineageManager* mgr, int n) {
+  std::vector<LineageRef> vars;
+  for (int i = 0; i < n; ++i)
+    vars.push_back(mgr->Var(mgr->RegisterVariable(0.5)));
+  LineageRef lam = mgr->True();
+  for (int i = 0; i + 1 < n; ++i)
+    lam = mgr->And(lam, mgr->Or(vars[static_cast<size_t>(i)],
+                                vars[static_cast<size_t>(i + 1)]));
+  return lam;
+}
+
+ProbEvalOptions ApproxOptions(double eps, double delta) {
+  ProbEvalOptions opts;
+  opts.approx_eps = eps;
+  opts.approx_delta = delta;
+  return opts;
+}
+
+TEST(ProbEvalTest, ApproxDecomposableLineageIsExact) {
   LineageManager mgr;
   const LineageRef a = mgr.Var(mgr.RegisterVariable(0.6));
   const LineageRef b = mgr.Var(mgr.RegisterVariable(0.5));
-  const LineageRef lam = mgr.And(a, b);  // decomposable, yet sampled
-  ProbEvalOptions opts;
-  opts.approx_eps = 0.05;
-  opts.approx_delta = 0.05;
-  ProbabilityEvaluator evaluator(&mgr, opts);
+  const LineageRef c = mgr.Var(mgr.RegisterVariable(0.3));
+  const LineageRef lam = mgr.AndNot(a, mgr.Or(b, c));  // anti-join shape
+  ProbabilityEvaluator evaluator(&mgr, ApproxOptions(0.05, 0.05));
   const double p = evaluator.Probability(lam);
-  EXPECT_EQ(evaluator.methods_used(), kProbMethodMonteCarlo);
-  EXPECT_NEAR(p, 0.3, 0.05);
+  EXPECT_EQ(evaluator.methods_used(), kProbMethodExact);
+  mgr.SetVariableProbability(0, mgr.VariableProbability(0));  // drop memo
+  EXPECT_EQ(p, ProbabilityEngine(&mgr).Probability(lam));
+}
+
+TEST(ProbEvalTest, ApproxEntangledLineageWithinBudgetIsCompiled) {
+  LineageManager mgr;
+  const LineageRef lam = MakeChain(&mgr, 12);
+  ProbabilityEvaluator approx(&mgr, ApproxOptions(0.05, 0.05));
+  const double p = approx.Probability(lam);
+  EXPECT_EQ(approx.methods_used(), kProbMethodCompiled);
+
+  // The value an exact query computes, from a fresh circuit.
+  mgr.SetVariableProbability(0, mgr.VariableProbability(0));  // drop memo
+  ProbabilityEvaluator exact(&mgr, ProbEvalOptions{});
+  EXPECT_EQ(p, exact.Probability(lam));
+  EXPECT_EQ(exact.methods_used(), kProbMethodCompiled);
+  EXPECT_NEAR(p, testing::BruteForceProbability(&mgr, lam), 1e-9);
+
+  // The compiled value is memoized, so a second APPROX evaluator reads it.
+  ProbabilityEvaluator again(&mgr, ApproxOptions(0.05, 0.05));
+  EXPECT_EQ(again.Probability(lam), p);
+  EXPECT_EQ(again.methods_used(), kProbMethodExact);
+}
+
+TEST(ProbEvalTest, ApproxOverBudgetLineageIsSampledAtTheQueryContract) {
+  LineageManager mgr;
+  const LineageRef lam = MakeChain(&mgr, 12);
+  const double brute = testing::BruteForceProbability(&mgr, lam);
+  const double eps = 0.05, delta = 0.05;
+  const double z = NormalQuantile(1.0 - delta / 2.0);
+  const int seeds = 40;
+  int hits = 0;
+  for (int seed = 0; seed < seeds; ++seed) {
+    ProbEvalOptions opts = ApproxOptions(eps, delta);
+    opts.max_circuit_nodes = 4;  // nothing real compiles under this
+    opts.mc_seed = static_cast<uint64_t>(seed) + 1;
+    ProbabilityEvaluator evaluator(&mgr, opts);
+    const double p = evaluator.Probability(lam);
+    EXPECT_EQ(evaluator.methods_used(), kProbMethodMonteCarlo);
+    // Sampled at (eps, delta), not at the fallback's (0.01, 0.05): the
+    // same stream drawn to the query's precision gives the same bits.
+    MonteCarloEngine mc(&mgr, DeriveSeed(opts.mc_seed, lam.id));
+    EXPECT_EQ(p, mc.EstimateToPrecision(lam, eps / z,
+                                        HoeffdingSamples(eps, delta))
+                     .probability)
+        << "seed " << seed;
+    if (std::abs(p - brute) <= eps) ++hits;
+  }
+  EXPECT_GE(hits, static_cast<int>(seeds * 0.9));
+
+  // Estimates never enter the memo: an exact query still compiles.
+  ProbabilityEvaluator exact(&mgr, ProbEvalOptions{});
+  EXPECT_NEAR(exact.Probability(lam), brute, 1e-9);
+  EXPECT_EQ(exact.methods_used(), kProbMethodCompiled);
 }
 
 TEST(ProbEvalTest, MethodLabels) {

@@ -230,4 +230,23 @@ std::string CompareSnapshots(std::vector<SnapshotTuple> expected,
   return diff.str();
 }
 
+double BruteForceProbability(LineageManager* manager, LineageRef r) {
+  const std::vector<VarId> vars = manager->Variables(r);  // copy: arena grows
+  TPDB_CHECK_LE(vars.size(), 24u) << "brute force: too many variables";
+  std::vector<bool> assignment(manager->num_variables(), false);
+  double total = 0.0;
+  const uint64_t limit = 1ull << vars.size();
+  for (uint64_t mask = 0; mask < limit; ++mask) {
+    double world = 1.0;
+    for (size_t i = 0; i < vars.size(); ++i) {
+      const bool value = (mask >> i) & 1;
+      assignment[vars[i]] = value;
+      const double pv = manager->VariableProbability(vars[i]);
+      world *= value ? pv : 1.0 - pv;
+    }
+    if (manager->Evaluate(r, assignment)) total += world;
+  }
+  return total;
+}
+
 }  // namespace tpdb::testing

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "lineage/lineage.h"
 #include "tp/operators.h"
 #include "tp/overlap_join.h"
 #include "tp/plans.h"
@@ -52,6 +53,11 @@ std::vector<SnapshotTuple> SnapshotOf(const TPRelation& result, TimePoint t);
 /// tolerance 1e-9). Returns a human-readable diff on mismatch ("" = equal).
 std::string CompareSnapshots(std::vector<SnapshotTuple> expected,
                              std::vector<SnapshotTuple> actual);
+
+/// Possible-worlds probability of `r`: sums the weight of every assignment
+/// of its variables that satisfies it. Exponential in the number of
+/// variables (capped at 24).
+double BruteForceProbability(LineageManager* manager, LineageRef r);
 
 }  // namespace tpdb::testing
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -18,8 +19,10 @@
 #include "common/random.h"
 #include "datasets/generator.h"
 #include "exec/session.h"
+#include "lineage/compile/prob_eval.h"
 #include "lineage/probability.h"
 #include "server/client.h"
+#include "tests/reference/reference.h"
 #include "tests/reference/temp_dir.h"
 
 namespace tpdb::server {
@@ -163,6 +166,58 @@ TEST_F(ServerEndToEndTest, LargeResultStreamsInMultipleBatches) {
   StatusOr<TPRelation> local = session.Query("r UNION s");
   ASSERT_TRUE(local.ok());
   ExpectParity(*local, *wire);
+}
+
+TEST_F(ServerEndToEndTest, LineageOverTheCircuitBudgetIsSampledInTime) {
+  // Entangled lineage (v1 ∨ v2) ∧ (v2 ∨ v3) ∧ … defeats decomposition,
+  // and a tiny circuit budget pushes it past the compiled rung: `_prob`
+  // must come from the session's evaluator (sampled to the fallback
+  // contract), not from Shannon expansion on a server worker.
+  constexpr int kDepth = 16;
+  constexpr int kTuples = 6;
+  StatusOr<TPRelation*> rel =
+      db_.CreateRelation("ent", Schema({{"id", DatumType::kInt64}}));
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  LineageManager* mgr = db_.manager();
+  for (int t = 0; t < kTuples; ++t) {
+    std::vector<LineageRef> vars;
+    for (int i = 0; i < kDepth; ++i)
+      vars.push_back(mgr->Var(mgr->RegisterVariable(0.5)));
+    LineageRef lam = mgr->True();
+    for (int i = 0; i + 1 < kDepth; ++i)
+      lam = mgr->And(lam, mgr->Or(vars[static_cast<size_t>(i)],
+                                  vars[static_cast<size_t>(i + 1)]));
+    ASSERT_TRUE((*rel)->AppendDerived({Datum(int64_t{t})}, Interval(t, t + 1),
+                                      lam)
+                    .ok());
+  }
+
+  ServerOptions options;
+  options.session.prob_compile_budget = 16;
+  StartServer(options);
+  StatusOr<std::unique_ptr<Client>> client = Connect();
+  ASSERT_TRUE(client.ok());
+  const auto start = std::chrono::steady_clock::now();
+  StatusOr<ClientResult> wire = (*client)->Query("SELECT * FROM ent");
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  EXPECT_LT(seconds, 10.0);
+
+  // The same evaluator options in process draw the same per-formula
+  // streams, so the wire values match bit for bit.
+  ProbabilityEvaluator local(mgr, BaseProbOptions(options.session));
+  const std::vector<CanonicalTuple> rows = CanonicalizeWire(*wire);
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kTuples));
+  for (int t = 0; t < kTuples; ++t) {
+    const LineageRef lam = (*rel)->tuple(static_cast<size_t>(t)).lineage;
+    const double p = rows[static_cast<size_t>(t)].probability;
+    EXPECT_EQ(p, local.Probability(lam)) << "tuple " << t;
+    EXPECT_NEAR(p, tpdb::testing::BruteForceProbability(mgr, lam), 0.05)
+        << "tuple " << t;
+  }
+  EXPECT_EQ(local.methods_used(), kProbMethodMonteCarlo);
 }
 
 TEST_F(ServerEndToEndTest, QueryErrorsTravelWithTheirStatusCode) {

@@ -6,10 +6,12 @@
 
 #include "lineage/probability.h"
 #include "tests/reference/fixtures.h"
+#include "tests/reference/reference.h"
 
 namespace tpdb {
 namespace {
 
+using testing::BruteForceProbability;
 using testing::MakeFig1Example;
 using testing::MakeRandomRelation;
 using testing::RandomRelationOptions;
@@ -121,7 +123,6 @@ TEST(TemporalAggregate, ProbAnyMatchesBruteForce) {
   auto rel = MakeRandomRelation(&mgr, "r", opts, &rng);
   StatusOr<std::vector<TemporalAggregateRow>> agg = TemporalAggregate(*rel);
   ASSERT_TRUE(agg.ok());
-  ProbabilityEngine prob(&mgr);
   for (const TemporalAggregateRow& row : *agg) {
     const TimePoint t = row.interval.start;
     std::vector<LineageRef> lineages;
@@ -129,8 +130,7 @@ TEST(TemporalAggregate, ProbAnyMatchesBruteForce) {
       if (rel->tuple(i).interval.Contains(t))
         lineages.push_back(rel->tuple(i).lineage);
     ASSERT_FALSE(lineages.empty());
-    const double brute =
-        prob.BruteForceProbability(mgr.OrAll(lineages));
+    const double brute = BruteForceProbability(&mgr, mgr.OrAll(lineages));
     EXPECT_NEAR(row.prob_any, brute, 1e-9) << row.interval.ToString();
   }
 }
