@@ -1,30 +1,29 @@
 // Probability-engine benchmark, emitting BENCH_prob.json — the CI gate of
-// the lineage-compilation trajectory. Three evaluation methods over the
-// formula families TP queries produce, at increasing lineage depth:
+// the evaluation ladder. Two evaluation methods over the formula families
+// TP queries produce, at increasing lineage depth:
 //
 //   exact     ProbabilityEngine — independent decomposition + memoized
 //             Shannon expansion (re-derived from scratch per evaluation)
-//   compiled  LineageCompiler circuit — compiled once, re-evaluated with a
-//             linear pass after every probability update
 //   sampled   MonteCarloEngine possible-world sampling under an
 //             (eps, delta) contract
 //
 // Families:
 //   disjoint   λ = a ∧ ¬(s1 ∨ … ∨ sd): fully decomposable (anti-join
-//              lineage) — the exact fast path; compiled must match it.
+//              lineage) — the exact fast path.
 //   entangled  λ = (v1∨v2) ∧ (v2∨v3) ∧ … : adjacent clauses share a
-//              variable, defeating decomposition — exact pays Shannon
-//              per evaluation, the circuit pays it once at compile time.
+//              variable, defeating decomposition — every level pays a
+//              Shannon expansion.
 //   shared     k tuples λ_i = t_i ∧ (entangled core): the cross-tuple
-//              memo-reuse case — each shared subformula compiles once.
+//              memo-reuse case — the core is expanded once.
 //
-// The process exits non-zero if (a) any compiled probability diverges from
-// exact by more than 1e-9, (b) compiled re-evaluation fails to beat exact
-// Shannon by at least 5x on the deepest entangled formula, (c) an
-// evaluator under APPROX(eps, delta) samples any entangled formula the
-// circuit budget covers, or returns a value more than 1e-9 from exact, or
-// (d) the APPROX estimate falls outside its eps bound on more than 5% of
-// seeds.
+// The process exits non-zero if (a) a ProbabilityEvaluator under the
+// default budget spends more than 2·depth Shannon expansions on an
+// entangled formula of depth 8–64, samples it, or returns a value that is
+// not bit-equal to the unbudgeted engine's, (b) the shared family costs
+// more expansions than its core alone, (c) an evaluator under
+// APPROX(eps, delta) samples any entangled formula the budget covers, or
+// returns a value more than 1e-9 from exact, or (d) the APPROX estimate
+// falls outside its eps bound on more than 5% of seeds.
 //
 //   ./bench/bench_lineage_prob [out.json]
 //
@@ -38,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "lineage/compile/compile.h"
 #include "lineage/compile/prob_eval.h"
 #include "lineage/lineage.h"
 #include "lineage/monte_carlo.h"
@@ -50,7 +48,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr double kMaxDivergence = 1e-9;
-constexpr double kRequiredCompiledSpeedup = 5.0;
+constexpr double kMaxExpansionsPerLevel = 2.0;
 constexpr double kApproxEps = 0.05;
 constexpr double kApproxDelta = 0.05;
 constexpr int kApproxSeeds = 60;
@@ -62,9 +60,7 @@ struct Measurement {
   std::string method;
   double seconds_per_eval = 0.0;
   double probability = 0.0;
-  size_t circuit_nodes = 0;   // compiled only
-  uint64_t memo_hits = 0;     // compiled only
-  double reuse_ratio = 0.0;   // compiled only
+  uint64_t shannon_expansions = 0;  // exact only
 };
 
 /// Median-of-reps of (total loop seconds / iters) — each rep re-runs the
@@ -112,9 +108,6 @@ int Main(int argc, char** argv) {
 
   LineageManager mgr;
   std::vector<Measurement> results;
-  bool divergence_ok = true;
-  double worst_divergence = 0.0;
-  double deepest_exact_s = 0.0, deepest_compiled_s = 0.0;
 
   struct Family {
     std::string name;
@@ -123,54 +116,28 @@ int Main(int argc, char** argv) {
   };
   const std::vector<Family> families = {
       {"disjoint", {4, 16, 64, 256}, MakeDisjoint},
-      {"entangled", {8, 12, 16, 20}, MakeEntangled},
+      {"entangled", {8, 16, 32, 64}, MakeEntangled},
   };
 
   for (const Family& family : families) {
     for (const int depth : family.depths) {
       const LineageRef lam = family.make(&mgr, depth);
-      // Exact reference (fresh engine, invalidated memo per evaluation —
-      // the cost a query pays when probabilities change between runs).
+      // Exact (fresh engine, invalidated memo per evaluation — the cost a
+      // query pays when probabilities change between runs).
       double exact_p = 0.0;
+      uint64_t expansions = 0;
       const double exact_s = TimePerEval(reps, iters, [&] {
         mgr.SetVariableProbability(0, mgr.VariableProbability(0));
         ProbabilityEngine engine(&mgr);
         exact_p = engine.Probability(lam);
+        expansions = engine.shannon_expansions();
       });
-      results.push_back(
-          Measurement{family.name, depth, "exact", exact_s, exact_p});
+      Measurement exact{family.name, depth, "exact", exact_s, exact_p};
+      exact.shannon_expansions = expansions;
+      results.push_back(exact);
 
-      // Compiled: one compile, then a linear re-evaluation per update.
-      ProbEvalOptions opts;
-      ProbabilityEvaluator evaluator(&mgr, opts);
-      const size_t nodes_before = evaluator.circuit_size();
-      double compiled_p = evaluator.Probability(lam);  // compiles
-      const double compiled_s = TimePerEval(reps, iters, [&] {
-        mgr.SetVariableProbability(0, mgr.VariableProbability(0));
-        compiled_p = evaluator.Probability(lam);
-      });
-      const CompileStats& cstats = evaluator.compile_stats();
-      const size_t nodes_added = evaluator.circuit_size() - nodes_before;
-      Measurement compiled{family.name, depth, "compiled", compiled_s,
-                           compiled_p};
-      compiled.circuit_nodes = nodes_added;
-      compiled.memo_hits = cstats.memo_hits;
-      const uint64_t touched = cstats.memo_hits + evaluator.circuit_size();
-      compiled.reuse_ratio =
-          touched > 0 ? static_cast<double>(cstats.memo_hits) / touched : 0.0;
-      results.push_back(compiled);
-
-      const double divergence = std::abs(compiled_p - exact_p);
-      worst_divergence = std::max(worst_divergence, divergence);
-      if (divergence > kMaxDivergence) {
-        std::fprintf(stderr,
-                     "DIVERGENCE: %s depth=%d compiled %.12f vs exact %.12f\n",
-                     family.name.c_str(), depth, compiled_p, exact_p);
-        divergence_ok = false;
-      }
-
-      // Sampled, under the default fallback contract.
-      MonteCarloEngine mc(&mgr, DeriveSeed(opts.mc_seed, lam.id));
+      // Sampled, under the APPROX contract.
+      MonteCarloEngine mc(&mgr, DeriveSeed(ProbEvalOptions{}.mc_seed, lam.id));
       const double z = NormalQuantile(1.0 - kApproxDelta / 2.0);
       double sampled_p = 0.0;
       const double sampled_s = TimePerEval(1, std::max(iters / 4, 1), [&] {
@@ -182,52 +149,78 @@ int Main(int argc, char** argv) {
       results.push_back(
           Measurement{family.name, depth, "sampled", sampled_s, sampled_p});
 
-      std::printf(
-          "%-9s depth=%-4d exact %10.2f us  compiled %8.2f us (%zu nodes, "
-          "reuse %.2f)  sampled %8.2f us\n",
-          family.name.c_str(), depth, exact_s * 1e6, compiled_s * 1e6,
-          nodes_added, compiled.reuse_ratio, sampled_s * 1e6);
-
-      if (family.name == "entangled" && depth == family.depths.back()) {
-        deepest_exact_s = exact_s;
-        deepest_compiled_s = compiled_s;
-      }
+      std::printf("%-9s depth=%-4d exact %10.2f us (%llu expansions)  "
+                  "sampled %8.2f us\n",
+                  family.name.c_str(), depth, exact_s * 1e6,
+                  static_cast<unsigned long long>(expansions),
+                  sampled_s * 1e6);
     }
   }
 
-  // Cross-tuple memo reuse: k tuples sharing one entangled core — each
-  // shared subformula compiles once, later tuples wire its circuit id.
-  double shared_reuse = 0.0;
+  // The expansion gate: under the default budget the evaluator stays exact
+  // on the entangled family, linear in depth, bit-equal to the engine.
+  double expansions_per_level = 0.0;
+  uint8_t entangled_methods = 0;
+  bool entangled_bit_equal = true;
+  for (const int depth : families.back().depths) {
+    LineageManager fresh;  // no memo entries from the runs above
+    ProbabilityEvaluator evaluator(&fresh, ProbEvalOptions{});
+    const double p = evaluator.Probability(MakeEntangled(&fresh, depth));
+    LineageManager reference;
+    const double exact_p =
+        ProbabilityEngine(&reference).Probability(
+            MakeEntangled(&reference, depth));
+    entangled_methods |= evaluator.methods_used();
+    entangled_bit_equal = entangled_bit_equal && p == exact_p;
+    expansions_per_level =
+        std::max(expansions_per_level,
+                 static_cast<double>(evaluator.shannon_expansions()) / depth);
+  }
+  const bool expansion_ok =
+      expansions_per_level <= kMaxExpansionsPerLevel && entangled_bit_equal &&
+      (entangled_methods & kProbMethodMonteCarlo) == 0;
+  std::printf("expansion gate: %.2f expansions per level (max %.1f), "
+              "methods %s, bit-equal %s\n",
+              expansions_per_level, kMaxExpansionsPerLevel,
+              ProbMethodsLabel(entangled_methods).c_str(),
+              entangled_bit_equal ? "yes" : "no");
+
+  // Cross-tuple memo reuse: k tuples sharing one entangled core — the core
+  // is expanded once, later tuples read it from the memo.
+  uint64_t shared_expansions = 0;
+  uint64_t core_expansions = 0;
   {
     const int core_depth = 16, tuples = 64;
-    const LineageRef core = MakeEntangled(&mgr, core_depth);
-    ProbabilityEvaluator evaluator(&mgr, ProbEvalOptions{});
+    LineageManager fresh;
+    const LineageRef core = MakeEntangled(&fresh, core_depth);
+    ProbabilityEvaluator evaluator(&fresh, ProbEvalOptions{});
     double sum = 0.0;
     for (int i = 0; i < tuples; ++i) {
-      const LineageRef t = mgr.Var(mgr.RegisterVariable(0.7));
-      sum += evaluator.Probability(mgr.And(t, core));
+      const LineageRef t = fresh.Var(fresh.RegisterVariable(0.7));
+      sum += evaluator.Probability(fresh.And(t, core));
     }
-    const CompileStats& cstats = evaluator.compile_stats();
-    shared_reuse = static_cast<double>(cstats.memo_hits) /
-                   static_cast<double>(cstats.memo_hits + evaluator.circuit_size());
-    Measurement shared{"shared", core_depth, "compiled", 0.0, sum / tuples};
-    shared.circuit_nodes = evaluator.circuit_size();
-    shared.memo_hits = cstats.memo_hits;
-    shared.reuse_ratio = shared_reuse;
+    shared_expansions = evaluator.shannon_expansions();
+    LineageManager reference;
+    ProbabilityEngine engine(&reference);
+    engine.Probability(MakeEntangled(&reference, core_depth));
+    core_expansions = engine.shannon_expansions();
+    Measurement shared{"shared", core_depth, "exact", 0.0, sum / tuples};
+    shared.shannon_expansions = shared_expansions;
     results.push_back(shared);
-    std::printf("shared    depth=%-4d %d tuples: %zu circuit nodes, "
-                "%llu memo hits, reuse %.2f\n",
-                core_depth, tuples, evaluator.circuit_size(),
-                static_cast<unsigned long long>(cstats.memo_hits),
-                shared_reuse);
+    std::printf("shared    depth=%-4d %d tuples: %llu expansions (core "
+                "alone %llu)\n",
+                core_depth, tuples,
+                static_cast<unsigned long long>(shared_expansions),
+                static_cast<unsigned long long>(core_expansions));
   }
+  const bool shared_ok = shared_expansions == core_expansions;
 
   // The APPROX ladder: under APPROX(eps, delta) an evaluator still serves
-  // the entangled family from the compiled rung, within budget — no sample
-  // drawn, and the exact values.
+  // the entangled family exactly, within budget — no sample drawn, and the
+  // exact values.
   uint8_t approx_ladder_methods = 0;
   double approx_ladder_divergence = 0.0;
-  for (const int depth : families.back().depths) {
+  for (const int depth : {8, 12, 16, 20}) {
     LineageManager fresh;  // no memo entries from the runs above
     const LineageRef lam = MakeEntangled(&fresh, depth);
     const double exact_p = ProbabilityEngine(&fresh).Probability(lam);
@@ -266,15 +259,7 @@ int Main(int argc, char** argv) {
   }
   const double approx_hit_rate =
       static_cast<double>(approx_hits) / kApproxSeeds;
-
-  const double compiled_speedup =
-      deepest_compiled_s > 0.0 ? deepest_exact_s / deepest_compiled_s : 0.0;
-  const bool speedup_ok = compiled_speedup >= kRequiredCompiledSpeedup;
   const bool approx_ok = approx_hit_rate >= kApproxRequiredHitRate;
-  std::printf("entangled deepest: exact %.2f us, compiled %.2f us, "
-              "speedup %.1fx (required %.1fx)\n",
-              deepest_exact_s * 1e6, deepest_compiled_s * 1e6,
-              compiled_speedup, kRequiredCompiledSpeedup);
   std::printf("approx: %d/%d seeds within eps=%.2f (required %.0f%%)\n",
               approx_hits, kApproxSeeds, kApproxEps,
               kApproxRequiredHitRate * 100.0);
@@ -285,49 +270,58 @@ int Main(int argc, char** argv) {
   std::fprintf(f, "{\n  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
-    std::fprintf(
-        f,
-        "    {\"family\": \"%s\", \"depth\": %d, \"method\": \"%s\", "
-        "\"seconds_per_eval\": %.9f, \"probability\": %.12f, "
-        "\"circuit_nodes\": %zu, \"memo_hits\": %llu, "
-        "\"reuse_ratio\": %.4f}%s\n",
-        m.family.c_str(), m.depth, m.method.c_str(), m.seconds_per_eval,
-        m.probability, m.circuit_nodes,
-        static_cast<unsigned long long>(m.memo_hits), m.reuse_ratio,
-        i + 1 < results.size() ? "," : "");
+    std::fprintf(f,
+                 "    {\"family\": \"%s\", \"depth\": %d, \"method\": \"%s\", "
+                 "\"seconds_per_eval\": %.9f, \"probability\": %.12f, "
+                 "\"shannon_expansions\": %llu}%s\n",
+                 m.family.c_str(), m.depth, m.method.c_str(),
+                 m.seconds_per_eval, m.probability,
+                 static_cast<unsigned long long>(m.shannon_expansions),
+                 i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(
       f,
-      "  \"gates\": {\"max_divergence\": %.3e, \"divergence_ok\": %s, "
-      "\"compiled_speedup\": %.3f, \"required_speedup\": %.1f, "
+      "  \"gates\": {\"expansions_per_level\": %.4f, "
+      "\"max_expansions_per_level\": %.1f, \"entangled_methods\": \"%s\", "
+      "\"entangled_bit_equal\": %s, \"expansion_ok\": %s, "
+      "\"shared_expansions\": %llu, \"core_expansions\": %llu, "
+      "\"shared_ok\": %s, "
       "\"approx_hit_rate\": %.3f, \"required_hit_rate\": %.2f, "
-      "\"shared_reuse_ratio\": %.4f, \"approx_ladder_methods\": \"%s\", "
+      "\"approx_ladder_methods\": \"%s\", "
       "\"approx_ladder_max_divergence\": %.3e, \"approx_ladder_ok\": %s}\n}\n",
-      worst_divergence, divergence_ok ? "true" : "false", compiled_speedup,
-      kRequiredCompiledSpeedup, approx_hit_rate, kApproxRequiredHitRate,
-      shared_reuse, ProbMethodsLabel(approx_ladder_methods).c_str(),
+      expansions_per_level, kMaxExpansionsPerLevel,
+      ProbMethodsLabel(entangled_methods).c_str(),
+      entangled_bit_equal ? "true" : "false", expansion_ok ? "true" : "false",
+      static_cast<unsigned long long>(shared_expansions),
+      static_cast<unsigned long long>(core_expansions),
+      shared_ok ? "true" : "false", approx_hit_rate, kApproxRequiredHitRate,
+      ProbMethodsLabel(approx_ladder_methods).c_str(),
       approx_ladder_divergence, approx_ladder_ok ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
-  if (!divergence_ok) {
-    std::fprintf(stderr, "FAIL: compiled diverges from exact beyond %.1e\n",
-                 kMaxDivergence);
+  if (!expansion_ok) {
+    std::fprintf(stderr,
+                 "FAIL: entangled family took %.2f expansions per level "
+                 "(max %.1f), methods %s, bit-equal to the engine: %s\n",
+                 expansions_per_level, kMaxExpansionsPerLevel,
+                 ProbMethodsLabel(entangled_methods).c_str(),
+                 entangled_bit_equal ? "yes" : "no");
     return 1;
   }
-  if (!speedup_ok) {
+  if (!shared_ok) {
     std::fprintf(stderr,
-                 "FAIL: compiled speedup %.2fx < required %.1fx on the "
-                 "deepest entangled formula\n",
-                 compiled_speedup, kRequiredCompiledSpeedup);
+                 "FAIL: shared family took %llu expansions, its core alone "
+                 "%llu\n",
+                 static_cast<unsigned long long>(shared_expansions),
+                 static_cast<unsigned long long>(core_expansions));
     return 1;
   }
   if (!approx_ladder_ok) {
     std::fprintf(stderr,
                  "FAIL: APPROX over the entangled family used %s (divergence "
-                 "%.3e); it must stay on the exact/compiled rungs within "
-                 "%.1e\n",
+                 "%.3e); it must stay exact within %.1e\n",
                  ProbMethodsLabel(approx_ladder_methods).c_str(),
                  approx_ladder_divergence, kMaxDivergence);
     return 1;

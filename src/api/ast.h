@@ -122,7 +122,7 @@ struct SelectStatement {
   std::optional<double> min_prob;
   bool min_prob_strict = false;
   /// WITH PROB APPROX(eps, delta) >= p: exact where affordable; a
-  /// probability the circuit budget cannot compile is sampled to
+  /// probability the Shannon expansion budget cannot finish is sampled to
   /// P(|p̂ − p| ≤ eps) ≥ 1 − delta. 0 = no contract.
   double approx_eps = 0.0;
   double approx_delta = 0.0;

@@ -5,6 +5,7 @@
 
 #include "api/parser.h"
 #include "common/strings.h"
+#include "lineage/monte_carlo.h"
 #include "tp/operators.h"
 
 namespace tpdb {
@@ -433,9 +434,8 @@ QueryBuilder& QueryBuilder::WithMinProb(double min_prob, bool strict) {
 
 QueryBuilder& QueryBuilder::WithMinProbApprox(double min_prob, double eps,
                                               double delta, bool strict) {
-  if (!(eps > 0.0 && eps < 1.0) || !(delta > 0.0 && delta < 1.0)) {
-    if (error_.ok())
-      error_ = Status::InvalidArgument("APPROX eps/delta must be in (0, 1)");
+  if (Status valid = ValidateApproxContract(eps, delta); !valid.ok()) {
+    if (error_.ok()) error_ = std::move(valid);
     return *this;
   }
   stmt_.min_prob = min_prob;

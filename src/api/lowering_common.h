@@ -108,7 +108,7 @@ bool IsRowLocalStage(const PhysicalNode& stage);
 /// Lowers stages [first, last) — none of them a sort — onto batch
 /// operators over `op`. Pure (no planner state), so the parallel driver
 /// can instantiate the same chain once per morsel. `prob_base` carries the
-/// planner's probability-evaluation knobs (circuit budget, sampling seed);
+/// planner's probability-evaluation knobs (expansion budget, sampling seed);
 /// a stage's own APPROX contract is layered on top of it. With `stats`,
 /// each stage is instrumented as a "(vec)" node whose NodeStats slot is
 /// also recorded on the stage's physical node for the Explain tree.

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "lineage/monte_carlo.h"
+
 namespace tpdb {
 
 namespace {
@@ -393,10 +395,7 @@ class Parser {
         if (!delta.ok()) return delta.status();
         if (!MatchSymbol(")"))
           return Status::InvalidArgument("expected ) after APPROX(eps, delta");
-        if (!(*eps > 0.0 && *eps < 1.0))
-          return Status::InvalidArgument("APPROX epsilon must be in (0, 1)");
-        if (!(*delta > 0.0 && *delta < 1.0))
-          return Status::InvalidArgument("APPROX delta must be in (0, 1)");
+        TPDB_RETURN_IF_ERROR(ValidateApproxContract(*eps, *delta));
         stmt->approx_eps = *eps;
         stmt->approx_delta = *delta;
       }

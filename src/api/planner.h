@@ -58,16 +58,16 @@ struct PlannerOptions {
   /// pruning). `false` keeps only the mandatory mode-selection pass — the
   /// baseline the physical-plan suite compares against.
   bool optimize = true;
-  /// Node budget for compiled probability circuits: lineage formulas whose
-  /// compilation would exceed this fall back to Monte-Carlo sampling.
+  /// Shannon expansions per evaluator before sampling: lineage that needs
+  /// more falls back to Monte-Carlo sampling.
   size_t prob_compile_budget = size_t{1} << 20;
   /// Base seed of the Monte-Carlo probability path (lineage over the
-  /// circuit budget). Per-formula streams are derived from it, so runs
+  /// expansion budget). Per-formula streams are derived from it, so runs
   /// with equal seeds reproduce exactly.
   uint64_t prob_mc_seed = 42;
 };
 
-/// The planner-wide probability-evaluation knobs of `options`: circuit
+/// The planner-wide probability-evaluation knobs of `options`: expansion
 /// budget and Monte-Carlo seed. A stage's APPROX contract layers on top
 /// (StageProbOptions); the server's `_prob` column uses them as they are.
 ProbEvalOptions BaseProbOptions(const PlannerOptions& options);

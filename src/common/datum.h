@@ -77,7 +77,7 @@ class Datum {
   }
 
   /// Total order across types (NULL < int64 < double < string < lineage),
-  /// used by Sort / Dedup operators.
+  /// used by sorting.
   int Compare(const Datum& other) const;
 
   bool operator==(const Datum& other) const { return Compare(other) == 0; }

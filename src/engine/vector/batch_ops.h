@@ -94,9 +94,9 @@ class BatchProject final : public BatchOperator {
 
 /// WITH PROB — deselects rows whose lineage probability misses the
 /// threshold. Probabilities run through the evaluation ladder
-/// (lineage/compile/prob_eval.h): exact on decomposable lineage, compiled
-/// circuit otherwise, sampled only when the circuit budget blows up — to
-/// the stage's `APPROX(eps, delta)` if it has one.
+/// (lineage/compile/prob_eval.h): memo, then decomposition and Shannon
+/// expansion, sampled only when the expansion budget runs out — to the
+/// stage's `APPROX(eps, delta)` if it has one.
 class BatchProbThreshold final : public BatchOperator {
  public:
   /// `methods_out`, when given, receives the ProbMethod bitmask of the

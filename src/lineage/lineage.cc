@@ -52,14 +52,6 @@ void LineageManager::SetVariableProbability(VarId v, double prob) {
   }
 }
 
-std::vector<double> LineageManager::SnapshotVariableProbabilities() const {
-  const size_t n = num_vars_.load(std::memory_order_acquire);
-  std::vector<double> probs(n);
-  for (size_t v = 0; v < n; ++v)
-    probs[v] = var_probs_[v].load(std::memory_order_acquire);
-  return probs;
-}
-
 const std::string& LineageManager::VariableName(VarId v) const {
   std::lock_guard<std::mutex> lock(mu_);
   TPDB_CHECK_LT(v, var_names_.size());
@@ -273,14 +265,22 @@ bool LineageManager::LookupProbability(LineageRef r, double* out) const {
   return true;
 }
 
-void LineageManager::StoreProbability(LineageRef r, double p,
+bool LineageManager::StoreProbability(LineageRef r, double p,
                                       uint64_t epoch) {
   ProbShard& shard = prob_shards_[r.id % kProbShards];
   std::unique_lock lock(shard.mu);
   // A concurrent SetVariableProbability invalidated this computation: its
   // result may mix old and new marginals, so it must not enter the cache.
-  if (epoch != prob_epoch_.load(std::memory_order_acquire)) return;
-  shard.map.emplace(r.id, p);
+  if (epoch != prob_epoch_.load(std::memory_order_acquire)) return false;
+  return shard.map.emplace(r.id, p).second;
+}
+
+void LineageManager::EraseProbabilities(std::span<const uint32_t> ids) {
+  for (const uint32_t id : ids) {
+    ProbShard& shard = prob_shards_[id % kProbShards];
+    std::unique_lock lock(shard.mu);
+    shard.map.erase(id);
+  }
 }
 
 bool LineageManager::Equivalent(LineageRef a, LineageRef b) {

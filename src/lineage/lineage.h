@@ -95,7 +95,7 @@ class ChunkedSlots {
 /// structurally equal formulas receive equal ids.
 ///
 /// Thread-safe, with a read-mostly split so parallel sweep emission and
-/// parallel circuit evaluation scale instead of serializing on one lock:
+/// parallel probability evaluation scale instead of serializing on one lock:
 ///
 ///   - Node *reads* (KindOf / Left / Right / VarOf / Evaluate / Variables
 ///     once memoized) are lock-free: nodes live in an append-only chunked
@@ -137,10 +137,6 @@ class LineageManager {
   /// Updates the marginal probability of variable `v` (invalidates cached
   /// node probabilities).
   void SetVariableProbability(VarId v, double prob);
-
-  /// Dense snapshot of every variable's marginal, indexed by VarId — the
-  /// input of a compiled-circuit evaluation pass (lineage/compile/).
-  std::vector<double> SnapshotVariableProbabilities() const;
 
   /// Display name of variable `v` ("x<i>" if none was given).
   const std::string& VariableName(VarId v) const;
@@ -196,15 +192,13 @@ class LineageManager {
 
   /// Monotone counter bumped by every SetVariableProbability call.
   /// Consumers that cache derived probabilities (the memo below, snapshot
-  /// zone maps, compiled-circuit values) snapshot this and treat a
-  /// mismatch as "stale".
+  /// zone maps) snapshot this and treat a mismatch as "stale".
   uint64_t probability_epoch() const {
     return prob_epoch_.load(std::memory_order_acquire);
   }
 
  private:
   friend class ProbabilityEngine;
-  friend class ProbabilityEvaluator;
 
   struct Node {
     LineageKind kind;
@@ -212,16 +206,19 @@ class LineageManager {
     uint32_t b;  // second child (kAnd/kOr only)
   };
 
-  /// Probability-memo access for the probability engines. The memo is
+  /// Probability-memo access for ProbabilityEngine. The memo is
   /// sharded by node id: lookups take a shared lock on one shard, stores a
   /// brief exclusive one — evaluation never contends with interning.
   /// Stores are epoch-guarded: a computation that started before a
   /// SetVariableProbability ran must not repopulate the freshly cleared
   /// cache with its stale result, so the engine snapshots
   /// probability_epoch() up front and StoreProbability drops the value if
-  /// the epoch moved on.
+  /// the epoch moved on. StoreProbability returns whether it inserted the
+  /// value, so an engine can take back exactly its own entries with
+  /// EraseProbabilities.
   bool LookupProbability(LineageRef r, double* out) const;
-  void StoreProbability(LineageRef r, double p, uint64_t epoch);
+  bool StoreProbability(LineageRef r, double p, uint64_t epoch);
+  void EraseProbabilities(std::span<const uint32_t> ids);
 
   struct NodeKeyHash {
     size_t operator()(const Node& n) const {

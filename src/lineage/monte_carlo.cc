@@ -1,6 +1,7 @@
 #include "lineage/monte_carlo.h"
 
 #include <cmath>
+#include <cstdio>
 
 namespace tpdb {
 
@@ -25,8 +26,29 @@ double NormalQuantile(double p) {
 uint64_t HoeffdingSamples(double eps, double delta) {
   TPDB_CHECK(eps > 0.0 && eps < 1.0);
   TPDB_CHECK(delta > 0.0 && delta < 1.0);
-  const double n = std::log(2.0 / delta) / (2.0 * eps * eps);
-  return static_cast<uint64_t>(std::ceil(n));
+  const double n = std::ceil(std::log(2.0 / delta) / (2.0 * eps * eps));
+  // Casting a double at or past 2^64 (or +inf, for eps near 1e-300) to an
+  // integer is undefined; no sampler reaches that count anyway.
+  if (!(n < std::ldexp(1.0, 64))) return UINT64_MAX;
+  return static_cast<uint64_t>(n);
+}
+
+Status ValidateApproxContract(double eps, double delta) {
+  if (!(eps > 0.0 && eps < 1.0))
+    return Status::InvalidArgument("APPROX epsilon must be in (0, 1)");
+  if (!(delta > 0.0 && delta < 1.0))
+    return Status::InvalidArgument("APPROX delta must be in (0, 1)");
+  const uint64_t n = HoeffdingSamples(eps, delta);
+  if (n > kMaxMonteCarloSamples) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "APPROX(%g, %g) needs %.3g samples per tuple; the sampler "
+                  "draws at most %llu",
+                  eps, delta, static_cast<double>(n),
+                  static_cast<unsigned long long>(kMaxMonteCarloSamples));
+    return Status::InvalidArgument(msg);
+  }
+  return Status::OK();
 }
 
 uint64_t DeriveSeed(uint64_t base_seed, uint32_t lineage_id) {

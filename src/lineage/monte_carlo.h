@@ -1,20 +1,25 @@
 // Monte-Carlo probability estimation for lineage formulas.
 //
 // Exact probability computation (probability.h) is #P-hard in general and
-// falls back to Shannon expansion on entangled formulas; for lineages of
-// deeply nested queries a sampling estimate can be the only tractable
-// option. This estimator implements possible-world sampling — fixed-budget
-// and adaptive-to-precision — with standard-error reporting so callers can
-// decide when an estimate is good enough.
+// falls back to Shannon expansion on entangled formulas; once the evaluation
+// ladder's expansion budget runs out (lineage/compile/prob_eval.h), a
+// sampling estimate is the only tractable option. This estimator implements
+// possible-world sampling — fixed-budget and adaptive-to-precision — with
+// standard-error reporting so callers can decide when an estimate is good
+// enough.
 #ifndef TPDB_LINEAGE_MONTE_CARLO_H_
 #define TPDB_LINEAGE_MONTE_CARLO_H_
 
 #include <cstdint>
 
 #include "common/random.h"
+#include "common/status.h"
 #include "lineage/lineage.h"
 
 namespace tpdb {
+
+/// The most samples one adaptive estimate draws.
+constexpr uint64_t kMaxMonteCarloSamples = uint64_t{1} << 22;
 
 /// Standard normal quantile: the z with Φ(z) = p (0 < p < 1). Used to turn
 /// an `APPROX(eps, delta)` contract into a target standard error eps/z with
@@ -24,8 +29,13 @@ double NormalQuantile(double p);
 /// Hoeffding bound: smallest n with P(|p̂ − p| > eps) ≤ delta for the mean
 /// of n Bernoulli samples — a distribution-free cap on the adaptive
 /// sampler, so the (eps, delta) guarantee holds even when the CLT stopping
-/// rule is optimistic (p near 0 or 1).
+/// rule is optimistic (p near 0 or 1). Saturates at UINT64_MAX.
 uint64_t HoeffdingSamples(double eps, double delta);
+
+/// OK iff `APPROX(eps, delta)` is a contract the sampler can meet: eps and
+/// delta in (0, 1), and a Hoeffding bound within kMaxMonteCarloSamples.
+/// InvalidArgument otherwise.
+Status ValidateApproxContract(double eps, double delta);
 
 /// Mixes a base seed with a lineage node id into a per-formula seed, so
 /// sampling a relation is deterministic under any parallel schedule (the
@@ -54,7 +64,8 @@ class MonteCarloEngine {
   /// Adaptive estimator: keeps sampling until the standard error drops
   /// below `target_stderr` (or `max_samples` is reached).
   MonteCarloEstimate EstimateToPrecision(LineageRef r, double target_stderr,
-                                         uint64_t max_samples = 1 << 22);
+                                         uint64_t max_samples =
+                                             kMaxMonteCarloSamples);
 
  private:
   LineageManager* mgr_;

@@ -1,7 +1,5 @@
 #include "lineage/probability.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 
 namespace tpdb {
@@ -27,39 +25,43 @@ struct ProbMetrics {
   }
 };
 
-}  // namespace
-
-void RecordProbabilityEvaluation(bool memo_hit) {
-  ProbMetrics::Get().evals->Add();
-  if (memo_hit) ProbMetrics::Get().memo_hits->Add();
-}
-
-bool ProbabilityEngine::SharesVariables(LineageRef a, LineageRef b) {
-  const std::vector<VarId>& va = mgr_->Variables(a);
-  const std::vector<VarId>& vb = mgr_->Variables(b);
-  // Both sorted; linear merge-intersection test.
+/// The smallest variable common to the sorted sets `va` and `vb`, or
+/// nullopt when they are disjoint (linear merge-intersection).
+std::optional<VarId> FirstSharedVariable(const std::vector<VarId>& va,
+                                         const std::vector<VarId>& vb) {
   size_t i = 0;
   size_t j = 0;
   while (i < va.size() && j < vb.size()) {
-    if (va[i] == vb[j]) return true;
+    if (va[i] == vb[j]) return va[i];
     if (va[i] < vb[j])
       ++i;
     else
       ++j;
   }
-  return false;
+  return std::nullopt;
 }
 
+}  // namespace
+
 double ProbabilityEngine::Probability(LineageRef r) {
+  const std::optional<double> p = TryProbability(r);
+  TPDB_CHECK(p.has_value()) << "Shannon expansion budget exhausted";
+  return *p;
+}
+
+std::optional<double> ProbabilityEngine::TryProbability(LineageRef r) {
   TPDB_CHECK(!r.is_null()) << "probability of null lineage";
   ProbMetrics::Get().evals->Add();
   // Snapshot the memo epoch: results computed against these marginals are
   // only cached if no SetVariableProbability intervenes.
   epoch_ = mgr_->probability_epoch();
-  return ProbRec(r);
+  stored_.clear();
+  const std::optional<double> p = ProbRec(r);
+  if (!p) mgr_->EraseProbabilities(stored_);
+  return p;
 }
 
-double ProbabilityEngine::ProbRec(LineageRef r) {
+std::optional<double> ProbabilityEngine::ProbRec(LineageRef r) {
   double cached = 0.0;
   if (mgr_->LookupProbability(r, &cached)) {
     ProbMetrics::Get().memo_hits->Add();
@@ -77,52 +79,47 @@ double ProbabilityEngine::ProbRec(LineageRef r) {
     case LineageKind::kVar:
       result = mgr_->VariableProbability(mgr_->VarOf(r));
       break;
-    case LineageKind::kNot:
-      result = 1.0 - ProbRec(mgr_->Left(r));
+    case LineageKind::kNot: {
+      const std::optional<double> pa = ProbRec(mgr_->Left(r));
+      if (!pa) return std::nullopt;
+      result = 1.0 - *pa;
       break;
+    }
     case LineageKind::kAnd:
     case LineageKind::kOr: {
       const LineageRef a = mgr_->Left(r);
       const LineageRef b = mgr_->Right(r);
-      if (!SharesVariables(a, b)) {
-        const double pa = ProbRec(a);
-        const double pb = ProbRec(b);
+      const std::optional<VarId> pivot =
+          FirstSharedVariable(mgr_->Variables(a), mgr_->Variables(b));
+      if (!pivot) {
+        const std::optional<double> pa = ProbRec(a);
+        if (!pa) return std::nullopt;
+        const std::optional<double> pb = ProbRec(b);
+        if (!pb) return std::nullopt;
         result = mgr_->KindOf(r) == LineageKind::kAnd
-                     ? pa * pb
-                     : 1.0 - (1.0 - pa) * (1.0 - pb);
+                     ? *pa * *pb
+                     : 1.0 - (1.0 - *pa) * (1.0 - *pb);
       } else {
-        // Shannon expansion on a shared variable: co-factor on the first
-        // variable common to both children so the expansion actually
-        // decouples them.
-        const std::vector<VarId>& va = mgr_->Variables(a);
-        const std::vector<VarId>& vb = mgr_->Variables(b);
-        VarId pivot = 0;
-        bool found = false;
-        size_t i = 0;
-        size_t j = 0;
-        while (i < va.size() && j < vb.size()) {
-          if (va[i] == vb[j]) {
-            pivot = va[i];
-            found = true;
-            break;
-          }
-          if (va[i] < vb[j])
-            ++i;
-          else
-            ++j;
-        }
-        TPDB_CHECK(found);
+        // Shannon expansion on the first variable common to both children,
+        // so the expansion actually decouples them.
+        if (shannon_expansions_ >= max_expansions_) return std::nullopt;
         ++shannon_expansions_;
         ProbMetrics::Get().shannon->Add();
-        const double pv = mgr_->VariableProbability(pivot);
-        const LineageRef hi = mgr_->Restrict(r, pivot, true);
-        const LineageRef lo = mgr_->Restrict(r, pivot, false);
-        result = pv * ProbRec(hi) + (1.0 - pv) * ProbRec(lo);
+        const double pv = mgr_->VariableProbability(*pivot);
+        const LineageRef hi = mgr_->Restrict(r, *pivot, true);
+        const LineageRef lo = mgr_->Restrict(r, *pivot, false);
+        const std::optional<double> phi = ProbRec(hi);
+        if (!phi) return std::nullopt;
+        const std::optional<double> plo = ProbRec(lo);
+        if (!plo) return std::nullopt;
+        result = pv * *phi + (1.0 - pv) * *plo;
       }
       break;
     }
   }
-  mgr_->StoreProbability(r, result, epoch_);
+  if (mgr_->StoreProbability(r, result, epoch_) &&
+      max_expansions_ != std::numeric_limits<uint64_t>::max())
+    stored_.push_back(r.id);
   return result;
 }
 

@@ -689,7 +689,7 @@ void Server::RunQuery(std::shared_ptr<Connection> conn, MsgType kind,
       wire->schema.AddColumn({kTsColumn, DatumType::kInt64});
       wire->schema.AddColumn({kTeColumn, DatumType::kInt64});
       wire->schema.AddColumn({kProbColumn, DatumType::kDouble});
-      // One evaluator per result: memo, exact decomposition, the circuit
+      // One evaluator per result: memo, decomposition and Shannon expansion
       // within the session's budget, and sampling only past it.
       ProbabilityEvaluator evaluator(
           result->manager(), BaseProbOptions(conn->session.options()));

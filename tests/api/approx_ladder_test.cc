@@ -73,7 +73,7 @@ void ExpectExactRung(const std::string& explain) {
       << explain;
   EXPECT_EQ(explain.find("prob=mc"), std::string::npos) << explain;
   EXPECT_EQ(explain.find("+mc"), std::string::npos) << explain;
-  EXPECT_EQ(explain.find("compiled"), std::string::npos) << explain;
+  EXPECT_EQ(explain.find("shannon"), std::string::npos) << explain;
 }
 
 /// Every check for one database: in process and over the wire, at

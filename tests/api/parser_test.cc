@@ -246,6 +246,12 @@ TEST(ParserTest, ParsesProbApprox) {
       ParseQuery("SELECT * FROM wants WITH PROB >= 0.5");
   ASSERT_TRUE(plain.ok());
   EXPECT_DOUBLE_EQ(plain->approx_eps, 0.0);
+
+  // ~1.8e6 samples per tuple: within the sampler's cap.
+  StatusOr<SelectStatement> fine = ParseQuery(
+      "SELECT * FROM wants WITH PROB APPROX(0.001, 0.05) >= 0.5");
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  EXPECT_DOUBLE_EQ(fine->approx_eps, 0.001);
 }
 
 TEST(ParserErrorsTest, RejectsMalformedApprox) {
@@ -266,6 +272,16 @@ TEST(ParserErrorsTest, RejectsMalformedApprox) {
     StatusOr<SelectStatement> stmt = ParseQuery(text);
     EXPECT_FALSE(stmt.ok()) << "should not parse: '" << text << "'";
   }
+  // eps = 1e-9 would need ~1.8e18 samples per tuple: a contract the
+  // sampler cannot meet is refused up front.
+  StatusOr<SelectStatement> tiny = ParseQuery(
+      "SELECT * FROM wants WITH PROB APPROX(0.000000001, 0.05) >= 0.5");
+  ASSERT_FALSE(tiny.ok());
+  EXPECT_EQ(tiny.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(QueryBuilder("wants")
+                   .WithMinProbApprox(0.5, 1e-9, 0.05)
+                   .Build()
+                   .ok());
 }
 
 TEST(RoundTripTest, BuilderDefersErrors) {

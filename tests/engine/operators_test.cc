@@ -1,13 +1,10 @@
-// Unit tests of the basic operators: the row scan, sort, union-all, dedup
-// and materialize, the batch filter and project, plus schema/row
-// utilities.
+// Unit tests of the basic operators: the row scan, sort and materialize,
+// the batch filter and project, plus schema/row utilities.
 #include <gtest/gtest.h>
 
-#include "engine/dedup.h"
 #include "engine/materialize.h"
 #include "engine/scan.h"
 #include "engine/sort.h"
-#include "engine/union_all.h"
 #include "engine/vector/batch_ops.h"
 
 namespace tpdb {
@@ -139,25 +136,6 @@ TEST(Sort, StableForEqualKeys) {
   for (int64_t i = 0; i < 6; ++i) EXPECT_EQ(out.rows[i][1].AsInt64(), i);
 }
 
-TEST(UnionAll, ConcatenatesChildren) {
-  const Table t = MakeNumbersTable();
-  std::vector<OperatorPtr> children;
-  children.push_back(std::make_unique<TableScan>(&t));
-  children.push_back(std::make_unique<TableScan>(&t));
-  UnionAll u(std::move(children));
-  EXPECT_EQ(Drain(&u), 8u);
-}
-
-TEST(Dedup, RemovesExactDuplicates) {
-  const Table t = MakeNumbersTable();  // contains (1, "a") twice
-  Dedup dedup(std::make_unique<TableScan>(&t));
-  const Table out = Materialize(&dedup);
-  EXPECT_EQ(out.size(), 3u);
-  // Output is sorted.
-  EXPECT_EQ(out.rows[0][0].AsInt64(), 1);
-  EXPECT_EQ(out.rows[2][0].AsInt64(), 3);
-}
-
 TEST(Materialize, PreservesSchemaAndOrder) {
   const Table t = MakeNumbersTable();
   TableScan scan(&t);
@@ -169,14 +147,9 @@ TEST(Materialize, PreservesSchemaAndOrder) {
 }
 
 TEST(Pipeline, ComposedOperatorsWork) {
-  // σ(id <= 2) then π(name) over a doubled input, then dedup.
+  // σ(id <= 2) then π(name), then a sort.
   const Table t = MakeNumbersTable();
-  std::vector<OperatorPtr> children;
-  children.push_back(std::make_unique<TableScan>(&t));
-  children.push_back(std::make_unique<TableScan>(&t));
-  UnionAll both(std::move(children));
-  vec::BatchOperatorPtr plan = std::make_unique<vec::TableBatchScan>(
-      std::make_unique<Table>(Materialize(&both)));
+  vec::BatchOperatorPtr plan = std::make_unique<vec::TableBatchScan>(&t);
   plan = std::make_unique<vec::BatchFilter>(
       std::move(plan),
       vec::VCompare(CompareOp::kLe, /*promote_numeric=*/false,
@@ -185,11 +158,12 @@ TEST(Pipeline, ComposedOperatorsWork) {
   plan = std::make_unique<vec::BatchProject>(std::move(plan),
                                              std::vector<int>{1});
   const Table projected = vec::MaterializeBatches(plan.get());
-  Dedup dedup(std::make_unique<TableScan>(&projected));
-  const Table out = Materialize(&dedup);
-  ASSERT_EQ(out.size(), 2u);
+  Sort sort(std::make_unique<TableScan>(&projected), {{0, true}});
+  const Table out = Materialize(&sort);
+  ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out.rows[0][0].AsString(), "a");
-  EXPECT_EQ(out.rows[1][0].AsString(), "b");
+  EXPECT_EQ(out.rows[1][0].AsString(), "a");
+  EXPECT_EQ(out.rows[2][0].AsString(), "b");
 }
 
 }  // namespace

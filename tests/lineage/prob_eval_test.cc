@@ -1,10 +1,10 @@
-// Knowledge compilation and the evaluation ladder: compiled circuits must
-// agree with the exact engine (and, where tractable, the possible-worlds
-// oracle) on arbitrary formulas; the ladder must route each formula to the
-// right rung, under an APPROX contract too; re-evaluation after a
-// probability update must not recompile; and concurrent evaluators over one
-// shared arena must be race-free (the TSAN job runs this suite).
-#include "lineage/compile/compile.h"
+// The evaluation ladder: the evaluator must agree with the exact engine
+// (and, where tractable, the possible-worlds oracle) on arbitrary formulas;
+// it must route each formula to the right rung, under an APPROX contract
+// too; its Shannon expansions must stay within the budget and linear on
+// entangled chains; and concurrent evaluators over one shared arena must be
+// race-free (the TSAN job runs this suite).
+#include "lineage/compile/prob_eval.h"
 
 #include <gtest/gtest.h>
 
@@ -14,56 +14,12 @@
 #include <vector>
 
 #include "common/random.h"
-#include "lineage/compile/circuit.h"
-#include "lineage/compile/prob_eval.h"
 #include "lineage/monte_carlo.h"
 #include "lineage/probability.h"
 #include "tests/reference/reference.h"
 
 namespace tpdb {
 namespace {
-
-// -- Circuit primitives ----------------------------------------------------
-
-TEST(LineageCompileTest, CircuitEvaluatesPrimitives) {
-  Circuit c;
-  const uint32_t one = c.AddConst(1.0);
-  const uint32_t v0 = c.AddVar(0);
-  const uint32_t v1 = c.AddVar(1);
-  const uint32_t n = c.AddNot(v0);
-  const uint32_t a = c.AddAnd(n, v1);
-  const uint32_t o = c.AddOr(a, v0);
-  const uint32_t d = c.AddDecision(1, one, v0);
-
-  const std::vector<double> probs = {0.25, 0.5};
-  std::vector<double> values;
-  c.Evaluate(probs, &values);
-  EXPECT_DOUBLE_EQ(values[one], 1.0);
-  EXPECT_DOUBLE_EQ(values[v0], 0.25);
-  EXPECT_DOUBLE_EQ(values[n], 0.75);
-  EXPECT_DOUBLE_EQ(values[a], 0.75 * 0.5);
-  EXPECT_DOUBLE_EQ(values[o], 1.0 - (1.0 - 0.375) * 0.75);
-  // decide x1 ? 1.0 : x0 = 0.5·1.0 + 0.5·0.25
-  EXPECT_DOUBLE_EQ(values[d], 0.5 * 1.0 + 0.5 * 0.25);
-}
-
-TEST(LineageCompileTest, CircuitIncrementalEvaluationExtendsPrefix) {
-  Circuit c;
-  const uint32_t v0 = c.AddVar(0);
-  const uint32_t v1 = c.AddVar(1);
-  const uint32_t a = c.AddAnd(v0, v1);
-  std::vector<double> values;
-  c.Evaluate(std::vector<double>{0.5, 0.5}, &values);
-  EXPECT_DOUBLE_EQ(values[a], 0.25);
-
-  // Appending never changes earlier node values: re-evaluate from the old
-  // size only and the prefix stays valid.
-  const size_t from = c.size();
-  const uint32_t o = c.AddOr(a, v0);
-  c.Evaluate(std::vector<double>{0.5, 0.5}, &values, from);
-  EXPECT_DOUBLE_EQ(values[a], 0.25);
-  EXPECT_DOUBLE_EQ(values[o], 1.0 - 0.75 * 0.5);
-}
 
 // -- Random-formula agreement ---------------------------------------------
 
@@ -88,7 +44,7 @@ LineageRef RandomFormula(LineageManager* mgr, Random* rng,
   return pool.back();
 }
 
-TEST(LineageCompileTest, CompiledMatchesExactAndBruteForce) {
+TEST(ProbEvalTest, MatchesEngineAndBruteForce) {
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     LineageManager mgr;
     Random rng(seed);
@@ -99,10 +55,10 @@ TEST(LineageCompileTest, CompiledMatchesExactAndBruteForce) {
     const LineageRef lam =
         RandomFormula(&mgr, &rng, vars, static_cast<int>(rng.Uniform(4, 24)));
 
-    // Evaluator first: compiled runs store exact values into the manager's
-    // shared memo, so running the exact engine first would short-circuit the
+    // Evaluator first: it stores exact values into the manager's shared
+    // memo, so running the exact engine first would short-circuit the
     // ladder to a memo hit and test nothing. The epoch bump below drops the
-    // stored value so the Shannon engine recomputes independently.
+    // stored value so the unbudgeted engine recomputes independently.
     ProbabilityEvaluator evaluator(&mgr, ProbEvalOptions{});
     const double evaluated = evaluator.Probability(lam);
     const double brute = testing::BruteForceProbability(&mgr, lam);
@@ -115,11 +71,11 @@ TEST(LineageCompileTest, CompiledMatchesExactAndBruteForce) {
   }
 }
 
-TEST(LineageCompileTest, CompiledMatchesExactOnLargeEntangledFamilies) {
+TEST(ProbEvalTest, MatchesEngineOnLargeEntangledFamilies) {
   // Up to 24 variables: chains (v_i ∨ v_{i+1}) and long-range grids
   // (v_i ∨ v_{i+5}) — both defeat independent decomposition everywhere.
   // n > 2·stride everywhere, so the stride family always overlaps (v_stride
-  // occurs in two clauses) and never collapses to the decomposable rung.
+  // occurs in two clauses) and always needs a Shannon expansion.
   for (const int n : {12, 16, 24}) {
     for (const int stride : {1, 5}) {
       LineageManager mgr;
@@ -158,74 +114,62 @@ TEST(ProbEvalTest, DecomposableFormulasStayOnTheExactRung) {
   ProbabilityEngine engine(&mgr);
   EXPECT_NEAR(evaluator.Probability(lam), engine.Probability(lam), 1e-12);
   EXPECT_EQ(evaluator.methods_used(), kProbMethodExact);
-  EXPECT_EQ(evaluator.circuit_size(), 0u);
+  EXPECT_EQ(evaluator.shannon_expansions(), 0u);
 }
 
-TEST(ProbEvalTest, ReEvaluationAfterProbabilityUpdateDoesNotRecompile) {
-  LineageManager mgr;
+/// (v1 ∨ v2) ∧ (v2 ∨ v3) ∧ … over `n` fresh variables: adjacent clauses
+/// share a variable, so every level needs a Shannon expansion.
+LineageRef MakeChain(LineageManager* mgr, int n) {
   std::vector<LineageRef> vars;
-  for (int i = 0; i < 12; ++i)
-    vars.push_back(mgr.Var(mgr.RegisterVariable(0.5)));
-  LineageRef lam = mgr.True();
-  for (int i = 0; i + 1 < 12; ++i)
-    lam = mgr.And(lam, mgr.Or(vars[static_cast<size_t>(i)],
-                              vars[static_cast<size_t>(i + 1)]));
+  for (int i = 0; i < n; ++i)
+    vars.push_back(mgr->Var(mgr->RegisterVariable(0.5)));
+  LineageRef lam = mgr->True();
+  for (int i = 0; i + 1 < n; ++i)
+    lam = mgr->And(lam, mgr->Or(vars[static_cast<size_t>(i)],
+                                vars[static_cast<size_t>(i + 1)]));
+  return lam;
+}
 
-  ProbabilityEvaluator evaluator(&mgr, ProbEvalOptions{});
-  evaluator.Probability(lam);
-  const size_t compiled_nodes = evaluator.circuit_size();
-  const uint64_t hits = evaluator.compile_stats().memo_hits;
-  ASSERT_GT(compiled_nodes, 0u);
+TEST(ProbEvalTest, EntangledChainsStayExactWithinTwoExpansionsPerLevel) {
+  for (const int depth : {8, 16, 32, 64}) {
+    // Two arenas built the same way: the evaluator and the unbudgeted
+    // engine each start from an empty memo.
+    LineageManager mgr;
+    const LineageRef lam = MakeChain(&mgr, depth);
+    ProbabilityEvaluator evaluator(&mgr, ProbEvalOptions{});
+    const double p = evaluator.Probability(lam);
 
-  mgr.SetVariableProbability(0, 0.25);
-  const double updated = evaluator.Probability(lam);
-  // Same circuit, new values: the update only re-ran the evaluation pass —
-  // the root came out of the compiler memo and no node was appended.
-  EXPECT_EQ(evaluator.circuit_size(), compiled_nodes);
-  EXPECT_GT(evaluator.compile_stats().memo_hits, hits);
-  // Drop the memoized compiled value (epoch bump, same marginal) so the
-  // exact engine recomputes independently instead of hitting the memo.
-  mgr.SetVariableProbability(0, mgr.VariableProbability(0));
-  EXPECT_NEAR(updated, ProbabilityEngine(&mgr).Probability(lam), 1e-9);
-
-  // And per-update agreement holds over a sweep of values.
-  for (const double p : {0.1, 0.5, 0.9}) {
-    mgr.SetVariableProbability(3, p);
-    const double got = evaluator.Probability(lam);
-    EXPECT_EQ(evaluator.circuit_size(), compiled_nodes);
-    mgr.SetVariableProbability(3, p);  // invalidate before the exact check
-    EXPECT_NEAR(got, ProbabilityEngine(&mgr).Probability(lam), 1e-9);
+    LineageManager reference;
+    const LineageRef same = MakeChain(&reference, depth);
+    EXPECT_EQ(p, ProbabilityEngine(&reference).Probability(same))
+        << "depth " << depth;
+    EXPECT_LE(evaluator.shannon_expansions(), 2u * static_cast<uint64_t>(depth))
+        << "depth " << depth;
+    EXPECT_EQ(evaluator.methods_used(), kProbMethodCompiled)
+        << "depth " << depth;
   }
 }
 
 TEST(ProbEvalTest, MemoReusesSubcircuitsAcrossTuples) {
-  LineageManager mgr;
-  std::vector<LineageRef> vars;
-  for (int i = 0; i < 10; ++i)
-    vars.push_back(mgr.Var(mgr.RegisterVariable(0.5)));
-  LineageRef core = mgr.True();
-  for (int i = 0; i + 1 < 10; ++i)
-    core = mgr.And(core, mgr.Or(vars[static_cast<size_t>(i)],
-                                vars[static_cast<size_t>(i + 1)]));
+  constexpr int kCoreDepth = 16;
+  constexpr int kTuples = 64;
+  // The bare core's expansion count and value, in an arena of its own.
+  LineageManager reference;
+  ProbabilityEngine engine(&reference);
+  const double core_p = engine.Probability(MakeChain(&reference, kCoreDepth));
 
+  LineageManager mgr;
+  const LineageRef core = MakeChain(&mgr, kCoreDepth);
   ProbabilityEvaluator evaluator(&mgr, ProbEvalOptions{});
-  // First tuple pays the compile; the core lands in the memo.
-  const LineageRef t0 = mgr.Var(mgr.RegisterVariable(0.7));
-  evaluator.Probability(mgr.And(t0, core));
-  const size_t after_first = evaluator.circuit_size();
-  const uint64_t hits_first = evaluator.compile_stats().memo_hits;
-  // Later tuples sharing the core wire its existing circuit id.
-  for (int i = 0; i < 16; ++i) {
-    const LineageRef t = mgr.Var(mgr.RegisterVariable(0.3));
-    const LineageRef lam = mgr.And(t, core);
-    const double got = evaluator.Probability(lam);
-    mgr.SetVariableProbability(0, mgr.VariableProbability(0));  // drop memo
-    EXPECT_NEAR(got, ProbabilityEngine(&mgr).Probability(lam), 1e-9);
+  for (int i = 0; i < kTuples; ++i) {
+    const double pt = 0.25 + 0.5 * i / kTuples;
+    const LineageRef t = mgr.Var(mgr.RegisterVariable(pt));
+    EXPECT_DOUBLE_EQ(evaluator.Probability(mgr.And(t, core)), pt * core_p)
+        << "tuple " << i;
   }
-  EXPECT_GT(evaluator.compile_stats().memo_hits, hits_first);
-  // Each extra tuple adds O(1) nodes (its var + one conjunction), not a
-  // re-compiled core.
-  EXPECT_LT(evaluator.circuit_size() - after_first, 16 * 4);
+  // The first tuple pays for the core; the others read it from the memo.
+  EXPECT_EQ(evaluator.shannon_expansions(), engine.shannon_expansions());
+  EXPECT_EQ(evaluator.methods_used(), kProbMethodCompiled | kProbMethodExact);
 }
 
 TEST(ProbEvalTest, BudgetExhaustionFallsBackToSampling) {
@@ -239,26 +183,40 @@ TEST(ProbEvalTest, BudgetExhaustionFallsBackToSampling) {
                               vars[static_cast<size_t>(i + 1)]));
 
   ProbEvalOptions opts;
-  opts.max_circuit_nodes = 4;  // nothing real compiles under this
+  opts.max_circuit_nodes = 4;  // the chain needs 21 expansions
   ProbabilityEvaluator evaluator(&mgr, opts);
   const double sampled = evaluator.Probability(lam);
   EXPECT_NE(evaluator.methods_used() & kProbMethodMonteCarlo, 0);
+  // A cut-off evaluation leaves no memo entries behind, so a second
+  // evaluator under the same options is cut off and samples the same way.
+  ProbabilityEvaluator again(&mgr, opts);
+  EXPECT_EQ(again.Probability(lam), sampled);
+  EXPECT_EQ(again.methods_used(), kProbMethodMonteCarlo);
   ProbabilityEngine engine(&mgr);
   // Deterministic seed; the fallback contract is (0.01, 0.05).
   EXPECT_NEAR(sampled, engine.Probability(lam), 0.05);
 }
 
-/// (v1 ∨ v2) ∧ (v2 ∨ v3) ∧ … over `n` fresh variables: adjacent clauses
-/// share a variable, so no rung but compilation or sampling applies.
-LineageRef MakeChain(LineageManager* mgr, int n) {
+TEST(ProbEvalTest, SpentBudgetLeavesLaterDecomposableTuplesExact) {
+  LineageManager mgr;
+  const LineageRef chain = MakeChain(&mgr, 14);
+  const LineageRef a = mgr.Var(mgr.RegisterVariable(0.9));
   std::vector<LineageRef> vars;
-  for (int i = 0; i < n; ++i)
-    vars.push_back(mgr->Var(mgr->RegisterVariable(0.5)));
-  LineageRef lam = mgr->True();
-  for (int i = 0; i + 1 < n; ++i)
-    lam = mgr->And(lam, mgr->Or(vars[static_cast<size_t>(i)],
-                                vars[static_cast<size_t>(i + 1)]));
-  return lam;
+  for (int i = 0; i < 8; ++i)
+    vars.push_back(mgr.Var(mgr.RegisterVariable(0.3)));
+  const LineageRef anti = mgr.AndNot(a, mgr.OrAll(vars));
+
+  ProbEvalOptions opts;
+  opts.max_circuit_nodes = 4;
+  ProbabilityEvaluator evaluator(&mgr, opts);
+  evaluator.Probability(chain);
+  EXPECT_EQ(evaluator.methods_used(), kProbMethodMonteCarlo);
+  EXPECT_EQ(evaluator.shannon_expansions(), 4u);
+  // Decomposition spends no expansion, so the spent budget does not matter.
+  const double p = evaluator.Probability(anti);
+  EXPECT_EQ(evaluator.methods_used(), kProbMethodMonteCarlo | kProbMethodExact);
+  mgr.SetVariableProbability(0, mgr.VariableProbability(0));  // drop memo
+  EXPECT_EQ(p, ProbabilityEngine(&mgr).Probability(anti));
 }
 
 ProbEvalOptions ApproxOptions(double eps, double delta) {
@@ -288,14 +246,14 @@ TEST(ProbEvalTest, ApproxEntangledLineageWithinBudgetIsCompiled) {
   const double p = approx.Probability(lam);
   EXPECT_EQ(approx.methods_used(), kProbMethodCompiled);
 
-  // The value an exact query computes, from a fresh circuit.
+  // The value an exact query computes, from a cold memo.
   mgr.SetVariableProbability(0, mgr.VariableProbability(0));  // drop memo
   ProbabilityEvaluator exact(&mgr, ProbEvalOptions{});
   EXPECT_EQ(p, exact.Probability(lam));
   EXPECT_EQ(exact.methods_used(), kProbMethodCompiled);
   EXPECT_NEAR(p, testing::BruteForceProbability(&mgr, lam), 1e-9);
 
-  // The compiled value is memoized, so a second APPROX evaluator reads it.
+  // The exact value is memoized, so a second APPROX evaluator reads it.
   ProbabilityEvaluator again(&mgr, ApproxOptions(0.05, 0.05));
   EXPECT_EQ(again.Probability(lam), p);
   EXPECT_EQ(again.methods_used(), kProbMethodExact);
@@ -311,7 +269,7 @@ TEST(ProbEvalTest, ApproxOverBudgetLineageIsSampledAtTheQueryContract) {
   int hits = 0;
   for (int seed = 0; seed < seeds; ++seed) {
     ProbEvalOptions opts = ApproxOptions(eps, delta);
-    opts.max_circuit_nodes = 4;  // nothing real compiles under this
+    opts.max_circuit_nodes = 4;  // the chain needs 17 expansions
     opts.mc_seed = static_cast<uint64_t>(seed) + 1;
     ProbabilityEvaluator evaluator(&mgr, opts);
     const double p = evaluator.Probability(lam);
@@ -327,7 +285,7 @@ TEST(ProbEvalTest, ApproxOverBudgetLineageIsSampledAtTheQueryContract) {
   }
   EXPECT_GE(hits, static_cast<int>(seeds * 0.9));
 
-  // Estimates never enter the memo: an exact query still compiles.
+  // Estimates never enter the memo: an exact query still expands.
   ProbabilityEvaluator exact(&mgr, ProbEvalOptions{});
   EXPECT_NEAR(exact.Probability(lam), brute, 1e-9);
   EXPECT_EQ(exact.methods_used(), kProbMethodCompiled);
@@ -336,13 +294,13 @@ TEST(ProbEvalTest, ApproxOverBudgetLineageIsSampledAtTheQueryContract) {
 TEST(ProbEvalTest, MethodLabels) {
   EXPECT_EQ(ProbMethodsLabel(0), "");
   EXPECT_EQ(ProbMethodsLabel(kProbMethodExact), "exact");
-  EXPECT_EQ(ProbMethodsLabel(kProbMethodCompiled), "compiled");
+  EXPECT_EQ(ProbMethodsLabel(kProbMethodCompiled), "shannon");
   EXPECT_EQ(ProbMethodsLabel(kProbMethodMonteCarlo), "mc");
   EXPECT_EQ(ProbMethodsLabel(kProbMethodExact | kProbMethodMonteCarlo),
             "exact+mc");
   EXPECT_EQ(ProbMethodsLabel(kProbMethodExact | kProbMethodCompiled |
                              kProbMethodMonteCarlo),
-            "exact+compiled+mc");
+            "exact+shannon+mc");
 }
 
 // -- Monte-Carlo confidence accounting ------------------------------------
@@ -360,6 +318,23 @@ TEST(ProbEvalTest, HoeffdingSamplesTightenWithContract) {
             static_cast<uint64_t>(std::ceil(std::log(2.0 / 0.05) / 0.02)));
   EXPECT_GT(HoeffdingSamples(0.01, 0.05), HoeffdingSamples(0.1, 0.05));
   EXPECT_GT(HoeffdingSamples(0.1, 0.01), HoeffdingSamples(0.1, 0.05));
+  // Past 2^64 samples (or at +inf) the bound saturates instead of
+  // overflowing the cast.
+  EXPECT_EQ(HoeffdingSamples(1e-300, 0.05), UINT64_MAX);
+  EXPECT_EQ(HoeffdingSamples(1e-10, 0.05), UINT64_MAX);
+}
+
+TEST(ProbEvalTest, ApproxContractsPastTheSampleCapAreRejected) {
+  EXPECT_TRUE(ValidateApproxContract(0.001, 0.05).ok());
+  EXPECT_TRUE(ValidateApproxContract(0.05, 0.05).ok());
+  const Status tiny = ValidateApproxContract(1e-9, 0.05);
+  EXPECT_EQ(tiny.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateApproxContract(1e-300, 0.05).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateApproxContract(0.0, 0.05).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ValidateApproxContract(0.05, 1.0).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ProbEvalTest, DerivedSeedsAreStableAndDistinct) {
@@ -398,7 +373,7 @@ TEST(ProbEvalTest, ApproxEstimatesLandInsideTheConfidenceInterval) {
 
 // -- Concurrency (exercised under TSAN) -----------------------------------
 
-TEST(LineageCompileConcurrencyTest, ParallelEvaluatorsShareOneArena) {
+TEST(ProbEvalConcurrencyTest, ParallelEvaluatorsShareOneArena) {
   LineageManager mgr;
   std::vector<LineageRef> vars;
   for (int i = 0; i < 16; ++i)
@@ -438,7 +413,7 @@ TEST(LineageCompileConcurrencyTest, ParallelEvaluatorsShareOneArena) {
   EXPECT_FALSE(failed.load());
 }
 
-TEST(LineageCompileConcurrencyTest, ConcurrentConstructionAndEvaluation) {
+TEST(ProbEvalConcurrencyTest, ConcurrentConstructionAndEvaluation) {
   LineageManager mgr;
   std::vector<LineageRef> vars;
   for (int i = 0; i < 32; ++i)

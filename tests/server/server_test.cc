@@ -170,9 +170,10 @@ TEST_F(ServerEndToEndTest, LargeResultStreamsInMultipleBatches) {
 
 TEST_F(ServerEndToEndTest, LineageOverTheCircuitBudgetIsSampledInTime) {
   // Entangled lineage (v1 ∨ v2) ∧ (v2 ∨ v3) ∧ … defeats decomposition,
-  // and a tiny circuit budget pushes it past the compiled rung: `_prob`
-  // must come from the session's evaluator (sampled to the fallback
-  // contract), not from Shannon expansion on a server worker.
+  // and a tiny expansion budget (each tuple needs 25) pushes it past the
+  // exact rungs: `_prob` must come from the session's evaluator (sampled to
+  // the fallback contract), not from unbounded Shannon expansion on a
+  // server worker.
   constexpr int kDepth = 16;
   constexpr int kTuples = 6;
   StatusOr<TPRelation*> rel =
@@ -218,6 +219,21 @@ TEST_F(ServerEndToEndTest, LineageOverTheCircuitBudgetIsSampledInTime) {
         << "tuple " << t;
   }
   EXPECT_EQ(local.methods_used(), kProbMethodMonteCarlo);
+}
+
+TEST_F(ServerEndToEndTest, ApproxContractPastTheSampleCapIsRejected) {
+  StartServer();
+  StatusOr<std::unique_ptr<Client>> client = Connect();
+  ASSERT_TRUE(client.ok());
+  // eps = 1e-9 needs ~1.8e18 samples per over-budget tuple: refused before
+  // it can pin a worker.
+  StatusOr<ClientResult> tiny = (*client)->Query(
+      "SELECT * FROM r WITH PROB APPROX(0.000000001, 0.05) >= 0.5");
+  ASSERT_FALSE(tiny.ok());
+  EXPECT_EQ(tiny.status().code(), StatusCode::kInvalidArgument);
+  StatusOr<ClientResult> fine = (*client)->Query(
+      "SELECT * FROM r WITH PROB APPROX(0.001, 0.05) >= 0.5");
+  EXPECT_TRUE(fine.ok()) << fine.status().ToString();
 }
 
 TEST_F(ServerEndToEndTest, QueryErrorsTravelWithTheirStatusCode) {
