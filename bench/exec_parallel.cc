@@ -1,6 +1,6 @@
-// Serial-vs-parallel throughput of the exec/ runtime: the NJ overlap join
-// and the TP set operations at 1/2/4/8 workers, emitting BENCH_exec.json
-// (the baseline for the exec trajectory).
+// Serial-vs-parallel throughput of the exec/ runtime: the NJ overlap join,
+// the TP set operations and SQL GROUP BY at 1/2/4/8 workers, emitting
+// BENCH_exec.json (the baseline for the exec trajectory).
 //
 // Unlike the figure benches this one is a plain main(): it sweeps thread
 // counts over its own pools, which the google-benchmark harness cannot
@@ -9,19 +9,25 @@
 //
 //   ./bench/bench_exec_parallel [out.json]
 //
-// TPDB_BENCH_SCALE multiplies the workload size (default 8000 tuples/side).
+// TPDB_BENCH_SCALE multiplies the workload size (default 8000 tuples/side,
+// 30000 rows per aggregated relation).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "api/database.h"
 #include "common/random.h"
 #include "datasets/generator.h"
 #include "exec/parallel.h"
+#include "exec/session.h"
 #include "exec/thread_pool.h"
 
 namespace tpdb {
@@ -80,8 +86,11 @@ int Main(int argc, char** argv) {
   std::vector<Measurement> results;
   const int reps = 3;
 
+  // `run` gets the worker count and a context with that many workers on a
+  // pool of its own (SQL rows ignore the context: the planner runs on the
+  // shared pool).
   const auto sweep = [&](const std::string& op,
-                         const std::function<size_t(ExecContext*)>& run) {
+                         const std::function<size_t(int, ExecContext*)>& run) {
     double serial_seconds = 0.0;
     for (const int threads : {1, 2, 4, 8}) {
       Measurement m;
@@ -91,7 +100,7 @@ int Main(int argc, char** argv) {
         // parallelism 1 = the serial operator path, no pool at all.
         ExecContext ctx(nullptr, ExecOptions{.parallelism = 1});
         m.seconds = TimeBestOf(
-            reps, [&] { return run(&ctx); }, &m.result_rows);
+            reps, [&] { return run(threads, &ctx); }, &m.result_rows);
         serial_seconds = m.seconds;
       } else {
         ThreadPool pool(static_cast<size_t>(threads));
@@ -100,48 +109,103 @@ int Main(int argc, char** argv) {
         exec_options.min_parallel_rows = 64;
         ExecContext ctx(&pool, exec_options);
         m.seconds = TimeBestOf(
-            reps, [&] { return run(&ctx); }, &m.result_rows);
+            reps, [&] { return run(threads, &ctx); }, &m.result_rows);
       }
       m.speedup = serial_seconds / m.seconds;
-      std::printf("%-12s threads=%d  %8.3f ms  speedup=%.2fx  rows=%zu\n",
+      std::printf("%-14s threads=%d  %8.3f ms  speedup=%.2fx  rows=%zu\n",
                   op.c_str(), threads, m.seconds * 1000.0, m.speedup,
                   m.result_rows);
       results.push_back(m);
     }
   };
 
-  sweep("join_inner", [&](ExecContext* ctx) -> size_t {
+  sweep("join_inner", [&](int, ExecContext* ctx) -> size_t {
     StatusOr<TPRelation> out = ParallelTPJoin(
         ctx, TPJoinKind::kInner, *r, *s, theta, join_options);
     TPDB_CHECK(out.ok()) << out.status().ToString();
     return out->size();
   });
-  sweep("join_louter", [&](ExecContext* ctx) -> size_t {
+  sweep("join_louter", [&](int, ExecContext* ctx) -> size_t {
     StatusOr<TPRelation> out = ParallelTPJoin(
         ctx, TPJoinKind::kLeftOuter, *r, *s, theta, join_options);
     TPDB_CHECK(out.ok()) << out.status().ToString();
     return out->size();
   });
-  sweep("union", [&](ExecContext* ctx) -> size_t {
+  sweep("union", [&](int, ExecContext* ctx) -> size_t {
     StatusOr<TPRelation> out =
         ParallelTPSetOp(ctx, TPSetOpKind::kUnion, *r, *s);
     TPDB_CHECK(out.ok()) << out.status().ToString();
     return out->size();
   });
-  sweep("intersect", [&](ExecContext* ctx) -> size_t {
+  sweep("intersect", [&](int, ExecContext* ctx) -> size_t {
     StatusOr<TPRelation> out =
         ParallelTPSetOp(ctx, TPSetOpKind::kIntersect, *r, *s);
     TPDB_CHECK(out.ok()) << out.status().ToString();
     return out->size();
   });
 
+  // SQL GROUP BY through the planner, over a warm and a cold catalog chain
+  // at 64 and 4 096 groups and over a join result. The chain under an
+  // aggregate runs serially, so these rows are the baseline a per-morsel
+  // partial-state aggregate has to beat.
+  const int64_t agg_rows = 30000 * scale;
+  TPDatabase warm;
+  for (const int64_t groups : {64, 4096}) {
+    UniformWorkloadOptions agg_options;
+    agg_options.num_tuples = agg_rows;
+    agg_options.num_facts = groups;
+    StatusOr<TPRelation> rel = MakeUniformWorkload(
+        warm.manager(), "g" + std::to_string(groups), agg_options, &rng);
+    TPDB_CHECK(rel.ok()) << rel.status().ToString();
+    TPDB_CHECK(warm.Register(std::move(*rel)).ok());
+  }
+  UniformWorkloadOptions join_inputs;
+  join_inputs.num_tuples = tuples;
+  join_inputs.num_facts = 4096;
+  for (const char* name : {"jr", "js"}) {
+    StatusOr<TPRelation> rel =
+        MakeUniformWorkload(warm.manager(), name, join_inputs, &rng);
+    TPDB_CHECK(rel.ok()) << rel.status().ToString();
+    TPDB_CHECK(warm.Register(std::move(*rel)).ok());
+  }
+  const std::string snapshot =
+      (std::filesystem::temp_directory_path() /
+       ("bench_exec_parallel_" + std::to_string(::getpid()) + ".tpdb"))
+          .string();
+  TPDB_CHECK(warm.SaveSnapshot(snapshot).ok());
+  TPDatabase cold;
+  TPDB_CHECK(cold.LoadSnapshot(snapshot).ok());
+  const auto sql = [](TPDatabase* db, const std::string& query) {
+    return [db, query](int threads, ExecContext*) -> size_t {
+      SessionOptions session;
+      session.parallelism = threads;
+      StatusOr<TPRelation> out = Session(db, session).Query(query);
+      TPDB_CHECK(out.ok()) << out.status().ToString();
+      return out->size();
+    };
+  };
+  for (const char* groups : {"64", "4096"}) {
+    const std::string query =
+        std::string("SELECT key, COUNT(*), MAX(key) FROM g") + groups +
+        " WHERE key >= 1 GROUP BY key";
+    sweep(std::string("agg_warm_") + groups, sql(&warm, query));
+    sweep(std::string("agg_cold_") + groups, sql(&cold, query));
+  }
+  sweep("agg_join", sql(&warm,
+                        "SELECT key, COUNT(*), MAX(key_s) FROM jr LEFT JOIN "
+                        "js ON key GROUP BY key"));
+  std::remove(snapshot.c_str());
+
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_exec.json";
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   TPDB_CHECK(f != nullptr) << "cannot write " << out_path;
   std::fprintf(f, "{\n  \"workload\": {\"tuples_per_side\": %lld, "
-               "\"keys\": %lld, \"theta\": \"key = key\"},\n",
+               "\"keys\": %lld, \"theta\": \"key = key\", "
+               "\"agg_rows\": %lld, \"agg_join_keys\": %lld},\n",
                static_cast<long long>(tuples),
-               static_cast<long long>(options.num_facts));
+               static_cast<long long>(options.num_facts),
+               static_cast<long long>(agg_rows),
+               static_cast<long long>(join_inputs.num_facts));
   std::fprintf(f, "  \"hardware_threads\": %zu,\n",
                ThreadPool::HardwareParallelism());
   std::fprintf(f, "  \"results\": [\n");

@@ -77,7 +77,7 @@ std::string AggOutputName(const SelectItem& item);
 
 /// Resolved aggregate: group/aggregate column indices (into the fact
 /// schema — which equals the flattened prefix) and the output fact
-/// columns. Shared by the tuple and batch aggregates so both validate
+/// columns. Shared by the binder and the batch aggregate so both validate
 /// identically.
 struct AggPlan {
   std::vector<int> group_idx;

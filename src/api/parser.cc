@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -56,17 +57,28 @@ StatusOr<std::vector<Token>> Lex(const std::string& text) {
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
+      const auto digit = [&text, n](size_t at) {
+        return at < n && std::isdigit(static_cast<unsigned char>(text[at]));
+      };
       size_t j = i;
       int dots = 0;
-      while (j < n && (std::isdigit(static_cast<unsigned char>(text[j])) ||
-                       text[j] == '.')) {
+      while (digit(j) || (j < n && text[j] == '.')) {
         if (text[j] == '.') ++dots;
         ++j;
       }
-      if (dots > 1)
+      bool well_formed = dots <= 1;
+      const bool exponent = j < n && (text[j] == 'e' || text[j] == 'E');
+      if (exponent) {  // [eE][+-]?digits
+        ++j;
+        if (j < n && (text[j] == '+' || text[j] == '-')) ++j;
+        well_formed = well_formed && digit(j);
+        while (digit(j)) ++j;
+      }
+      if (!well_formed)
         return Status::InvalidArgument("malformed number '" +
                                        text.substr(i, j - i) + "'");
-      tokens.push_back({TokKind::kNumber, text.substr(i, j - i), dots > 0});
+      tokens.push_back(
+          {TokKind::kNumber, text.substr(i, j - i), dots > 0 || exponent});
       i = j;
       continue;
     }
@@ -407,7 +419,9 @@ class Parser {
       if (t.kind != TokKind::kNumber)
         return Status::InvalidArgument("expected probability after WITH "
                                        "PROB, found '" + t.text + "'");
-      stmt->min_prob = std::strtod(t.text.c_str(), nullptr);
+      StatusOr<double> min_prob = NumberValue(t);
+      if (!min_prob.ok()) return min_prob.status();
+      stmt->min_prob = *min_prob;
       Advance();
     }
     return Status::OK();
@@ -433,8 +447,17 @@ class Parser {
     if (t.kind != TokKind::kNumber)
       return Status::InvalidArgument(std::string("expected number after ") +
                                      what + ", found '" + t.text + "'");
+    StatusOr<double> v = NumberValue(t);
+    if (v.ok()) Advance();
+    return v;
+  }
+
+  /// A number token's value as a double; one that overflows is an error.
+  static StatusOr<double> NumberValue(const Token& t) {
     const double v = std::strtod(t.text.c_str(), nullptr);
-    Advance();
+    if (!std::isfinite(v))
+      return Status::InvalidArgument("number '" + t.text +
+                                     "' is out of range");
     return v;
   }
 
@@ -554,13 +577,21 @@ class Parser {
     if (num.kind != TokKind::kNumber)
       return Status::InvalidArgument("expected column, literal or number, "
                                      "found '" + num.text + "'");
-    Datum value = num.is_double
-                      ? Datum(std::strtod(num.text.c_str(), nullptr) *
-                              (negate ? -1.0 : 1.0))
-                      : Datum(static_cast<int64_t>(
-                            std::atoll(num.text.c_str()) * (negate ? -1 : 1)));
+    if (num.is_double) {
+      StatusOr<double> v = NumberValue(num);
+      if (!v.ok()) return v.status();
+      Advance();
+      return AstLiteral(Datum(negate ? -*v : *v));
+    }
+    // The sign is part of the conversion, so INT64_MIN is representable.
+    const std::string digits = (negate ? "-" : "") + num.text;
+    errno = 0;
+    const long long v = std::strtoll(digits.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+      return Status::InvalidArgument("integer '" + digits +
+                                     "' is outside int64");
     Advance();
-    return AstLiteral(std::move(value));
+    return AstLiteral(Datum(static_cast<int64_t>(v)));
   }
 
   std::vector<Token> tokens_;

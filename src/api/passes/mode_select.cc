@@ -1,6 +1,6 @@
 // Mode selection — the cost model. Annotates every node with an estimated
-// cardinality and cost, each stage and source with its execution mode, and
-// decides where parallel regions go and which aggregate runs:
+// cardinality and cost, turns the catalog sources that chains read as
+// batches into PhysBatchScans, and decides where parallel regions go:
 //
 //   - Cold scans are costed through their zone maps: EstimateScanRows sums
 //     the rows of the segments the pushed-down ScanPredicate cannot prune,
@@ -16,11 +16,12 @@
 //     PhysExchange inserted over that prefix; the executor re-checks the
 //     actual input size at run time, so an over-estimate never forces a
 //     degenerate parallel run.
-//   - An aggregate over a chain that starts at a catalog relation runs
-//     batch-at-a-time (PhysAggregate mode=batch), with the same exchange
-//     treatment below it when the whole chain is row-local. Over a join,
-//     set-op or sort result it runs the tuple aggregate, which wins at
-//     many small groups (the batch one wins over filtered scans).
+//   - An aggregate is the batch hash aggregate over whatever its chain
+//     starts at (a catalog relation, or a join, set-op or aggregate result
+//     flattened into a table), and the chain feeding it runs serially: no
+//     exchange goes under an aggregate, because the morsel route with a
+//     serial merge never beat the serial chain there. An exchange can
+//     still sit below the chain's barrier source, e.g. under a join input.
 //   - TP joins and set operations cost one fixed unit per input row. Their
 //     overlap algorithm is not a plan decision: it depends on the key
 //     histogram of the actual inputs, so the join picks it when it runs
@@ -48,7 +49,6 @@ constexpr double kWarmScan = 0.45;    // per-batch transpose of rows
 constexpr double kColdScan = 0.25;    // zero-copy chunk views
 constexpr double kFlatten = 0.6;      // relation → flattened table
 constexpr double kChainSetup = 96.0;  // batch operators + compiled predicates
-constexpr double kTupleAggUnit = 2.0;
 constexpr double kBatchAggUnit = 0.6;
 constexpr double kJoinUnit = 6.0;
 constexpr double kSetOpUnit = 4.0;
@@ -111,7 +111,7 @@ double StageRows(const PhysicalNode& stage, double in_rows) {
 }
 
 /// Costs a chain over its source estimate and annotates every stage with
-/// its mode and cumulative estimate.
+/// its cumulative estimate.
 void CostChain(const std::vector<PhysicalNode*>& stages, double source_rows,
                double source_cost) {
   double rows = source_rows;
@@ -126,8 +126,6 @@ void CostChain(const std::vector<PhysicalNode*>& stages, double source_rows,
     if (stage->op == PhysOp::kSort && rows > 1.0)
       cost += kSortUnit * rows * std::log2(rows);
     rows = StageRows(*stage, rows);
-    stage->mode =
-        stage->op == PhysOp::kSort ? ExecMode::kRow : ExecMode::kBatch;
     stage->est = {rows, cost};
   }
 }
@@ -193,10 +191,7 @@ Status AnnotateSource(Chain* chain, const ModeContext& c) {
                           *source.rel->cold_storage(), source.scan_predicate))
                     : static_cast<double>(source.rel->size());
     source.est = {rows, rows * unit};
-    if (!sort_reads_table) {
-      source.op = PhysOp::kBatchScan;
-      source.mode = ExecMode::kBatch;
-    }
+    if (!sort_reads_table) source.op = PhysOp::kBatchScan;
     return Status::OK();
   }
   TPDB_RETURN_IF_ERROR(Annotate(*chain->source_slot, c));
@@ -216,7 +211,6 @@ void InsertExchange(PhysicalNodePtr* top, const Chain& chain, size_t prefix,
   exchange->op = PhysOp::kExchange;
   exchange->workers = workers;
   exchange->schema = below->schema;
-  exchange->mode = below->mode;
   exchange->est = below->est;
   PhysicalNodePtr* slot =
       prefix < chain.stages.size() ? &chain.stages[prefix]->children[0] : top;
@@ -243,8 +237,8 @@ size_t DecideParallelPrefix(const Chain& chain, const ModeContext& c,
   return prefix;
 }
 
-/// Annotates one pipelined chain rooted at `*top`: per-stage modes +
-/// estimates, exchange insertion.
+/// Annotates one pipelined chain rooted at `*top`: per-stage estimates,
+/// exchange insertion.
 Status AnnotateChain(PhysicalNodePtr& top, const ModeContext& c) {
   Chain chain = CollectChain(&top);
   TPDB_RETURN_IF_ERROR(AnnotateSource(&chain, c));
@@ -255,41 +249,18 @@ Status AnnotateChain(PhysicalNodePtr& top, const ModeContext& c) {
   return Status::OK();
 }
 
-/// Aggregate annotation: the batch aggregate over a chain that starts at a
-/// catalog relation, the tuple aggregate over anything else.
+/// Aggregate annotation: the chain below is annotated like any other, but
+/// stays serial — the batch aggregate consumes it directly.
 Status AnnotateAggregate(PhysicalNodePtr& node, const ModeContext& c) {
-  PhysicalNodePtr& child = node->children[0];
-  Chain chain = CollectChain(&child);
-  double child_rows = 0.0;
-  double child_cost = 0.0;
-  if (IsCatalogSource(*chain.source)) {
-    node->mode = ExecMode::kBatch;
-    TPDB_RETURN_IF_ERROR(AnnotateSource(&chain, c));
-    const double source_rows = chain.source->est.rows;
-    CostChain(chain.stages, source_rows, chain.source->est.cost);
-    const PhysicalNode& top = chain.stages.empty() ? *chain.source
-                                                   : *chain.stages.back();
-    child_rows = top.est.rows;
-    child_cost = top.est.cost;
-    // The aggregate consumes the merge serially, so the exchange must
-    // cover the whole chain.
-    const size_t prefix = DecideParallelPrefix(chain, c, source_rows);
-    if (prefix > 0 && prefix == chain.stages.size())
-      InsertExchange(&child, chain, prefix, c.parallelism);
-  } else {
-    node->mode = ExecMode::kRow;
-    TPDB_RETURN_IF_ERROR(Annotate(child, c));
-    child_rows = child->est.rows;
-    child_cost = child->est.cost;
-  }
-
-  const double out_rows =
-      node->group_by.empty() ? std::min(child_rows, 1.0)
-                             : std::max(1.0, std::sqrt(child_rows));
-  node->est = {out_rows,
-               child_cost + child_rows * (node->mode == ExecMode::kBatch
-                                              ? kBatchAggUnit
-                                              : kTupleAggUnit)};
+  Chain chain = CollectChain(&node->children[0]);
+  TPDB_RETURN_IF_ERROR(AnnotateSource(&chain, c));
+  CostChain(chain.stages, chain.source->est.rows, chain.source->est.cost);
+  const PhysicalNode& top =
+      chain.stages.empty() ? *chain.source : *chain.stages.back();
+  const double out_rows = node->group_by.empty()
+                              ? std::min(top.est.rows, 1.0)
+                              : std::max(1.0, std::sqrt(top.est.rows));
+  node->est = {out_rows, top.est.cost + top.est.rows * kBatchAggUnit};
   return Status::OK();
 }
 

@@ -25,12 +25,11 @@
 //      drop identity projections.
 //   4. SelectModesPass        — the cost model: estimate per-node
 //      cardinalities (cold scans via zone maps — EstimateScanRows over the
-//      pushed predicate), annotate each stage with its ExecMode (batch
-//      for filter / project / limit, row for a sort) and each catalog
-//      source read as batches as a PhysBatchScan, pick the batch
-//      aggregate over chains that start at a catalog relation and the
-//      tuple aggregate elsewhere, and insert PhysExchange over row-local
-//      prefixes worth running on the morsel drivers.
+//      pushed predicate), turn each catalog source a chain reads as
+//      batches into a PhysBatchScan, and insert PhysExchange over
+//      row-local prefixes worth running on the morsel drivers — never
+//      under an aggregate, whose chain runs serially into the batch hash
+//      aggregate.
 //
 // Every pass preserves results element-wise (values, intervals, exact
 // probabilities, emit order) — the physical-plan parity suite sweeps

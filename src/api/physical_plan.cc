@@ -132,9 +132,11 @@ std::string PhysicalNode::ToString(int indent) const {
     std::snprintf(buf, sizeof(buf), "  {est %.3g rows, cost %.3g}",
                   est.rows, est.cost);
   } else {
+    const bool batch = op == PhysOp::kBatchScan || op == PhysOp::kFilter ||
+                       op == PhysOp::kProject || op == PhysOp::kLimit ||
+                       op == PhysOp::kAggregate;
     std::snprintf(buf, sizeof(buf), "  {%s, est %.3g rows, cost %.3g}",
-                  mode == ExecMode::kBatch ? "batch" : "row", est.rows,
-                  est.cost);
+                  batch ? "batch" : "row", est.rows, est.cost);
   }
   out += buf;
   if (actual != nullptr) {

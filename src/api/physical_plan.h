@@ -4,14 +4,15 @@
 // it (api/passes/: constant folding, predicate & probability-threshold
 // pushdown, projection pruning, zone-map-costed mode selection), and then
 // executes the annotated tree. Batch and parallel execution are not
-// separate lowerings: they are per-node annotations of ONE tree —
+// separate lowerings: a node's form follows from its op, and a parallel
+// region is one more node of ONE tree —
 //
 //   PhysScan / PhysBatchScan   a catalog source (whole or batch-mode; cold
 //                              sources carry the pushed-down ScanPredicate
 //                              the zone maps prune on)
 //   PhysFilter                 σ — a predicate or a probability threshold
 //   PhysProject / PhysSort / PhysLimit
-//   PhysAggregate              grouped aggregation (tuple or batch mode)
+//   PhysAggregate              grouped aggregation (batch hash aggregate)
 //   PhysTPJoin                 lineage-aware TP join (tp/operators.h)
 //   PhysAlign                  temporal-alignment strategy join
 //                              (baseline/ta_join.h)
@@ -58,9 +59,6 @@ enum class PhysOp {
 };
 
 const char* PhysOpName(PhysOp op);
-
-/// Execution mode of a source or pipeline stage.
-enum class ExecMode { kRow, kBatch };
 
 /// Cost-model annotations (mode-selection pass): estimated output
 /// cardinality and cumulative cost in abstract per-row work units.
@@ -135,8 +133,6 @@ struct PhysicalNode {
   // kExchange
   int workers = 1;
 
-  /// Chosen execution mode (sources and pipeline stages).
-  ExecMode mode = ExecMode::kRow;
   /// Cost-model estimates (mode-selection pass).
   PhysCost est;
   /// Actual execution counters of this node, when the plan ran with an
@@ -146,8 +142,9 @@ struct PhysicalNode {
   /// One-line description, e.g. "BatchScan(events) σ[_ts in [512, inf)]".
   std::string Label() const;
 
-  /// Multi-line indented tree rendering with per-node mode, estimated
-  /// rows/cost, and actual rows/time when present.
+  /// Multi-line indented tree rendering with per-node form ({batch} for a
+  /// batch scan, filter, project, limit and aggregate, {row} for the rest),
+  /// estimated rows/cost, and actual rows/time when present.
   std::string ToString(int indent = 0) const;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -633,120 +632,16 @@ StatusOr<std::optional<Planner::EvalResult>> Planner::ExecTopKProb(
 
 StatusOr<Planner::EvalResult> Planner::ExecAggregate(PhysicalNode* node,
                                                      ExecStats* stats) {
-  return node->mode == ExecMode::kBatch ? ExecBatchAggregate(node, stats)
-                                        : ExecRowAggregate(node, stats);
-}
-
-StatusOr<Planner::EvalResult> Planner::ExecRowAggregate(PhysicalNode* node,
-                                                        ExecStats* stats) {
-  StatusOr<EvalResult> child = ExecNode(node->children[0].get(), stats);
-  if (!child.ok()) return child.status();
-  const TPRelation& input = child->rel();
-  const Clock::time_point start = Clock::now();
-
-  StatusOr<AggPlan> plan =
-      ResolveAggregatePlan(node->group_by, node->group_aliases,
-                           node->aggregates, input.fact_schema());
-  if (!plan.ok()) return plan.status();
-  const std::vector<int>& group_idx = plan->group_idx;
-  const std::vector<int>& agg_idx = plan->agg_idx;
-
-  struct Group {
-    std::vector<Datum> acc;  // one slot per aggregate (count as int64)
-    TimePoint min_ts = 0;
-    TimePoint max_te = 0;
-    std::vector<LineageRef> lineages;
-  };
-  const auto row_less = [](const Row& a, const Row& b) {
-    return CompareRows(a, b) < 0;
-  };
-  std::map<Row, Group, decltype(row_less)> groups(row_less);
-
-  for (const TPTuple& tuple : input.tuples()) {
-    Row key;
-    key.reserve(group_idx.size());
-    for (const int idx : group_idx)
-      key.push_back(tuple.fact[static_cast<size_t>(idx)]);
-    auto [it, inserted] = groups.try_emplace(std::move(key));
-    Group& g = it->second;
-    if (inserted) {
-      g.acc.assign(node->aggregates.size(), Datum::Null());
-      g.min_ts = tuple.interval.start;
-      g.max_te = tuple.interval.end;
-    } else {
-      g.min_ts = std::min(g.min_ts, tuple.interval.start);
-      g.max_te = std::max(g.max_te, tuple.interval.end);
-    }
-    g.lineages.push_back(tuple.lineage);
-    for (size_t j = 0; j < node->aggregates.size(); ++j) {
-      const SelectItem& item = node->aggregates[j];
-      const Datum* value = agg_idx[j] >= 0
-                               ? &tuple.fact[static_cast<size_t>(agg_idx[j])]
-                               : nullptr;
-      switch (item.fn) {
-        case AggFn::kCount: {
-          if (value != nullptr && value->is_null()) break;
-          const int64_t so_far =
-              g.acc[j].is_null() ? 0 : g.acc[j].AsInt64();
-          g.acc[j] = Datum(so_far + 1);
-          break;
-        }
-        case AggFn::kSum: {
-          if (value->is_null()) break;
-          if (g.acc[j].is_null()) {
-            g.acc[j] = *value;
-          } else if (value->type() == DatumType::kDouble) {
-            g.acc[j] = Datum(g.acc[j].AsDouble() + value->AsDouble());
-          } else {
-            g.acc[j] = Datum(g.acc[j].AsInt64() + value->AsInt64());
-          }
-          break;
-        }
-        case AggFn::kMin:
-          if (!value->is_null() &&
-              (g.acc[j].is_null() || *value < g.acc[j]))
-            g.acc[j] = *value;
-          break;
-        case AggFn::kMax:
-          if (!value->is_null() &&
-              (g.acc[j].is_null() || g.acc[j] < *value))
-            g.acc[j] = *value;
-          break;
-      }
-    }
-  }
-
-  TPRelation result(input.name() + "_agg", Schema(std::move(plan->out_cols)),
-                    input.manager());
-  for (auto& [key, g] : groups) {
-    Row fact = key;
-    for (size_t j = 0; j < node->aggregates.size(); ++j) {
-      if (node->aggregates[j].fn == AggFn::kCount && g.acc[j].is_null())
-        g.acc[j] = Datum(static_cast<int64_t>(0));
-      fact.push_back(std::move(g.acc[j]));
-    }
-    // The group spans its tuples' intervals; its lineage is the disjunction
-    // of their lineages, so Probability() reports Pr[group non-empty].
-    const LineageRef lineage = input.manager()->OrAll(g.lineages);
-    TPDB_RETURN_IF_ERROR(result.AppendDerived(
-        std::move(fact), Interval(g.min_ts, g.max_te), lineage));
-  }
-  ReportNode(stats, node, node->Label(), result.size(), SecondsSince(start));
-  return EvalResult{std::move(result), nullptr};
-}
-
-StatusOr<Planner::EvalResult> Planner::ExecBatchAggregate(PhysicalNode* node,
-                                                          ExecStats* stats) {
-  // The mode pass picks the batch aggregate over a chain that starts at a
-  // catalog relation; the chain streams its batches into the aggregate.
+  // The chain below streams its batches into the aggregate: a catalog
+  // source as batch scans, a join / set-op / aggregate result flattened
+  // into a table first.
   const ChainExec chain = CollectExecChain(node->children[0].get());
   ChainRun run;
   TPDB_RETURN_IF_ERROR(RunChain(chain, &run, stats));
   vec::BatchOperatorPtr op = run.TakeBatches();
 
   // Group/aggregate columns resolve against the fact prefix of the
-  // flattened schema (the reserved columns sit at the end), so the
-  // validation — and its errors — match the tuple aggregate's exactly.
+  // flattened schema (the reserved columns sit at the end).
   StatusOr<AggPlan> plan =
       ResolveAggregatePlan(node->group_by, node->group_aliases,
                            node->aggregates, FactSchemaOf(op->schema()));

@@ -5,13 +5,14 @@
 //      against the catalog into a typed physical-operator tree.
 //   2. RunPassPipeline (api/passes/): constant folding, predicate &
 //      probability-threshold pushdown into the scans, projection pruning,
-//      and zone-map-costed mode selection (aggregate form, parallel
-//      regions, cardinality and cost estimates).
+//      and zone-map-costed mode selection (batch scans, parallel regions,
+//      cardinality and cost estimates).
 //   3. Execute the annotated tree: pipelined chains (PhysFilter /
 //      PhysProject / PhysLimit over a source) run as engine/vector/ batch
 //      operators, a PhysSort materializes its input and sorts it,
 //      PhysExchange regions run on the exec/ morsel drivers with an
-//      ordered merge, and PhysTPJoin / PhysTPSetOp / PhysAlign construct
+//      ordered merge, a PhysAggregate runs the batch hash aggregate over
+//      its serial chain, and PhysTPJoin / PhysTPSetOp / PhysAlign construct
 //      the tp/ and baseline/ operators from their node specs.
 //
 // There is exactly one lowering path: every query — serial or parallel,
@@ -123,12 +124,8 @@ class Planner {
                                                    ExecStats* stats);
   StatusOr<EvalResult> ExecJoin(PhysicalNode* node, ExecStats* stats);
   StatusOr<EvalResult> ExecSetOp(PhysicalNode* node, ExecStats* stats);
+  /// The batch hash aggregate over the serial chain below `node`.
   StatusOr<EvalResult> ExecAggregate(PhysicalNode* node, ExecStats* stats);
-  /// The tuple aggregate, over any child (a join, set-op or sort result).
-  StatusOr<EvalResult> ExecRowAggregate(PhysicalNode* node, ExecStats* stats);
-  /// The batch aggregate, over a chain that starts at a catalog relation.
-  StatusOr<EvalResult> ExecBatchAggregate(PhysicalNode* node,
-                                          ExecStats* stats);
 
   TPDatabase* db_;
   PlannerOptions options_;

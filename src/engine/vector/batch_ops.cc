@@ -208,11 +208,8 @@ void BatchHashAggregate::Close() {
 }
 
 void BatchHashAggregate::Build() {
-  // The accumulation below must stay in lockstep with the planner's
-  // tuple aggregate (api/planner.cc ExecRowAggregate): same NULL handling,
-  // same int64/double accumulator behavior, same ascending-key emit order,
-  // and lineages OR-ed in input order so the disjunction nodes intern
-  // identically.
+  // Lineages are OR-ed in input order and groups are emitted in ascending
+  // key order, so one input order gives one result, bit for bit.
   const Schema& in = child_->schema();
   const int ts_col = in.IndexOf(kTsColumn);
   const int te_col = in.IndexOf(kTeColumn);
@@ -226,8 +223,8 @@ void BatchHashAggregate::Build() {
     TimePoint max_te = 0;
     std::vector<LineageRef> lineages;
   };
-  // Hash grouping with a sorted emit: O(1) probes per row instead of the
-  // tuple aggregate's ordered-map lookups, same ascending-key output order.
+  // Hash grouping with a sorted emit: O(1) probes per row, ascending-key
+  // output order.
   struct RowHashFn {
     size_t operator()(const Row& row) const {
       uint64_t h = 1469598103934665603ull;  // FNV-1a over datum hashes

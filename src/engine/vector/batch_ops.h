@@ -162,7 +162,7 @@ struct BatchAggItem {
 /// _lin): groups on `group_by` columns, accumulates `aggs`, and emits one
 /// row per group — key columns, aggregate columns, then the group's
 /// interval span and the disjunction of its tuples' lineages — in
-/// ascending key order, exactly matching the planner's tuple aggregate.
+/// ascending key order. It is the engine's only GROUP BY.
 class BatchHashAggregate final : public BatchOperator {
  public:
   /// `output` is the flattened output schema (group cols ++ agg cols ++

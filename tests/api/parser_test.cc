@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "api/logical_plan.h"
 
 namespace tpdb {
@@ -273,15 +277,70 @@ TEST(ParserErrorsTest, RejectsMalformedApprox) {
     EXPECT_FALSE(stmt.ok()) << "should not parse: '" << text << "'";
   }
   // eps = 1e-9 would need ~1.8e18 samples per tuple: a contract the
-  // sampler cannot meet is refused up front.
-  StatusOr<SelectStatement> tiny = ParseQuery(
-      "SELECT * FROM wants WITH PROB APPROX(0.000000001, 0.05) >= 0.5");
-  ASSERT_FALSE(tiny.ok());
-  EXPECT_EQ(tiny.status().code(), StatusCode::kInvalidArgument);
+  // sampler cannot meet is refused up front, in either spelling.
+  for (const char* text :
+       {"SELECT * FROM wants WITH PROB APPROX(0.000000001, 0.05) >= 0.5",
+        "SELECT * FROM wants WITH PROB APPROX(1e-9, 0.05) >= 0.5"}) {
+    StatusOr<SelectStatement> tiny = ParseQuery(text);
+    ASSERT_FALSE(tiny.ok()) << text;
+    EXPECT_EQ(tiny.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(tiny.status().message().find("samples per tuple"),
+              std::string::npos)
+        << tiny.status().ToString();
+  }
   EXPECT_FALSE(QueryBuilder("wants")
                    .WithMinProbApprox(0.5, 1e-9, 0.05)
                    .Build()
                    .ok());
+}
+
+/// The literal on the right of a parsed `lhs op literal` predicate.
+Datum RightLiteral(const std::string& predicate) {
+  StatusOr<AstExprPtr> pred = ParsePredicate(predicate);
+  EXPECT_TRUE(pred.ok()) << predicate << ": " << pred.status().ToString();
+  if (!pred.ok()) return Datum::Null();
+  EXPECT_EQ((*pred)->kind, AstExprKind::kCompare) << predicate;
+  return (*pred)->right->literal;
+}
+
+TEST(ParserTest, NumberLiteralsTakeExponentsAndTheFullInt64Range) {
+  const Datum thousand = RightLiteral("key > 1e3");
+  ASSERT_EQ(thousand.type(), DatumType::kDouble);
+  EXPECT_EQ(thousand.AsDouble(), 1000.0);
+  EXPECT_EQ(RightLiteral("key > 2.5E-2").AsDouble(), 0.025);
+  EXPECT_EQ(RightLiteral("key > 1e+2").AsDouble(), 100.0);
+  EXPECT_EQ(RightLiteral("key > -1e3").AsDouble(), -1000.0);
+  const Datum min = RightLiteral("key > -9223372036854775808");
+  ASSERT_EQ(min.type(), DatumType::kInt64);
+  EXPECT_EQ(min.AsInt64(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(RightLiteral("key < 9223372036854775807").AsInt64(),
+            std::numeric_limits<int64_t>::max());
+
+  StatusOr<SelectStatement> approx = ParseQuery(
+      "SELECT * FROM wants WITH PROB APPROX(1e-2, 0.05) >= 5e-1");
+  ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+  EXPECT_EQ(approx->approx_eps, 0.01);
+  EXPECT_EQ(*approx->min_prob, 0.5);
+}
+
+TEST(ParserErrorsTest, RejectsNumbersOutOfRangeAndDanglingExponents) {
+  for (const char* text : {
+           "SELECT * FROM wants WHERE key < 99999999999999999999",
+           "SELECT * FROM wants WHERE key > -99999999999999999999",
+           "SELECT * FROM wants WHERE key > 9223372036854775808",
+           "SELECT * FROM wants WHERE key > -9223372036854775809",
+           "SELECT * FROM wants WHERE key > 1e999",
+           "SELECT * FROM wants WHERE key > -1e999",
+           "SELECT * FROM wants WHERE key > 1e",
+           "SELECT * FROM wants WHERE key > 1e+",
+           "SELECT * FROM wants WHERE key > 1.5e- 3",
+           "SELECT * FROM wants WITH PROB APPROX(1e999, 0.05) >= 0.5",
+           "SELECT * FROM wants WITH PROB >= 1e999",
+       }) {
+    StatusOr<SelectStatement> stmt = ParseQuery(text);
+    ASSERT_FALSE(stmt.ok()) << "should not parse: '" << text << "'";
+    EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(RoundTripTest, BuilderDefersErrors) {

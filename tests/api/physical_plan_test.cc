@@ -31,6 +31,12 @@ ptrdiff_t Find(const std::string& text, const std::string& needle) {
   return at == std::string::npos ? -1 : static_cast<ptrdiff_t>(at);
 }
 
+/// The node's own line of the plan rendering, without its children.
+std::string OwnLine(const PhysicalNode& node) {
+  const std::string text = node.ToString();
+  return text.substr(0, text.find('\n'));
+}
+
 class PhysicalPlanTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -201,6 +207,53 @@ TEST_F(PhysicalPlanTest, ProjectionPruningCollapsesAndDropsIdentity) {
 
 // -- Mode selection --------------------------------------------------------
 
+/// True when the chain feeding some Aggregate of the tree holds an Exchange.
+bool ExchangeFeedsAggregate(const PhysicalNode& node) {
+  if (node.op == PhysOp::kAggregate) {
+    for (const PhysicalNode* below = node.children[0].get();
+         IsPipelinedPhysOp(below->op) || below->op == PhysOp::kExchange;
+         below = below->children[0].get())
+      if (below->op == PhysOp::kExchange) return true;
+  }
+  for (const PhysicalNodePtr& child : node.children)
+    if (ExchangeFeedsAggregate(*child)) return true;
+  return false;
+}
+
+TEST_F(PhysicalPlanTest, AggregateChainsRunSerially) {
+  StatusOr<TPRelation*> u = db_.CreateRelation(
+      "u", Schema({{"key", DatumType::kInt64}, {"w", DatumType::kInt64}}));
+  ASSERT_TRUE(u.ok());
+  for (int64_t i = 0; i < 1500; ++i)
+    ASSERT_TRUE((*u)->AppendBase({Datum(i % 101), Datum(i)},
+                                 Interval(i, i + 2), 0.5)
+                    .ok());
+  PlannerOptions options;
+  options.parallelism = 4;
+  options.min_parallel_rows = 64;
+  Planner planner(&db_, options);
+  // (query, whether an exchange belongs anywhere in the plan): the same
+  // filter chain gets one without the aggregate, and a join's filtered
+  // inputs keep theirs under one.
+  const std::vector<std::pair<std::string, bool>> cases = {
+      {"SELECT * FROM t WHERE key >= 10", true},
+      {"SELECT key, COUNT(*) FROM t WHERE key >= 10 GROUP BY key", false},
+      {"SELECT key, COUNT(*), MAX(w) FROM t INNER JOIN u ON key "
+       "WHERE key >= 10 GROUP BY key",
+       true},
+  };
+  for (const auto& [query, exchange] : cases) {
+    SCOPED_TRACE(query);
+    StatusOr<LogicalPlan> logical = db_.Plan(query);
+    ASSERT_TRUE(logical.ok()) << logical.status().ToString();
+    StatusOr<PhysicalPlan> plan = planner.Lower(*logical);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::string tree = plan->ToString();
+    EXPECT_FALSE(ExchangeFeedsAggregate(*plan->root)) << tree;
+    EXPECT_EQ(Find(tree, "Exchange[4 workers]") >= 0, exchange) << tree;
+  }
+}
+
 /// Fills `db` with the 2 560-row `events` relation the cold fixture saves.
 void AddEvents(TPDatabase* db) {
   StatusOr<TPRelation*> rel = db->CreateRelation(
@@ -268,13 +321,16 @@ TEST_F(PhysicalPlanColdTest, SortIsARowBarrierBetweenBatchStages) {
   // Limit {batch} over Sort {row} over batch stages over the batch scan.
   const PhysicalNode* limit = plan->root.get();
   ASSERT_EQ(limit->op, PhysOp::kLimit) << tree;
-  EXPECT_EQ(limit->mode, ExecMode::kBatch) << tree;
+  EXPECT_NE(Find(OwnLine(*limit), "{batch"), -1) << tree;
   const PhysicalNode* sort = limit->children[0].get();
   ASSERT_EQ(sort->op, PhysOp::kSort) << tree;
-  EXPECT_EQ(sort->mode, ExecMode::kRow) << tree;
+  EXPECT_NE(Find(OwnLine(*sort), "{row"), -1) << tree;
   const PhysicalNode* below = sort->children[0].get();
-  while (!below->children.empty()) {
-    EXPECT_EQ(below->mode, ExecMode::kBatch) << tree;
+  while (true) {
+    if (below->op != PhysOp::kExchange) {
+      EXPECT_NE(Find(OwnLine(*below), "{batch"), -1) << tree;
+    }
+    if (below->children.empty()) break;
     below = below->children[0].get();
   }
   EXPECT_EQ(below->op, PhysOp::kBatchScan) << tree;
@@ -381,8 +437,11 @@ TEST_F(PhysicalPlanColdTest, ExplainCountsEachSourceRowScannedOnce) {
                      " parallelism " + std::to_string(parallelism));
         StatusOr<std::string> text = Session(db, options).Explain(query);
         ASSERT_TRUE(text.ok()) << text.status().ToString();
-        if (parallelism > 1)
-          EXPECT_NE(Find(*text, "Exchange[4 workers]"), -1) << *text;
+        // The chain under an aggregate runs serially.
+        const bool aggregate = Find(query, "GROUP BY") >= 0;
+        EXPECT_EQ(Find(*text, "Exchange[4 workers]") >= 0,
+                  parallelism > 1 && !aggregate)
+            << *text;
         EXPECT_EQ(RowsScanned(*text), 2560) << *text;
       }
     }

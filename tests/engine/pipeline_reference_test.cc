@@ -1,10 +1,11 @@
 // Pipeline reference suite: every query's result must equal, element-wise
 // and in order, a result built straight from the relation's tuples in
 // this file — C++ predicates with SQL three-valued logic and int64↔double
-// promotion, projection, ORDER BY, LIMIT/OFFSET and GROUP BY — with exact
-// probabilities from ProbabilityEngine. It runs over in-memory and
-// cold-snapshot inputs, serially and on 4 workers, across seeds and
-// selection-vector edge cases (empty batch, full batch, one-row tail).
+// promotion, projection, ORDER BY, LIMIT/OFFSET and GROUP BY (over
+// relations and over join results) — with exact probabilities from
+// ProbabilityEngine. It runs over in-memory and cold-snapshot inputs,
+// serially and on 4 workers, across seeds and selection-vector edge cases
+// (empty batch, full batch, one-row tail).
 // Malformed queries must return the same NotFound on every route.
 #include <gtest/gtest.h>
 
@@ -697,6 +698,98 @@ TEST(PipelineReferenceTest, TableBatchRoundTripIsIdentity) {
   ASSERT_EQ(out.rows.size(), table.rows.size());
   for (size_t i = 0; i < table.rows.size(); ++i)
     EXPECT_EQ(CompareRows(table.rows[i], out.rows[i]), 0) << "row " << i;
+}
+
+// -- GROUP BY over join results ----------------------------------------------
+
+/// r(key, a, v) and s(key, b), equi-joined on `key`: NULL on every 13th
+/// tuple of both sides, so outer joins keep unmatched tuples and the NULL
+/// key forms a group of its own.
+void FillJoinInputs(TPDatabase* db, int64_t n, uint64_t seed) {
+  StatusOr<TPRelation*> r = db->CreateRelation(
+      "r", Schema({{"key", DatumType::kInt64},
+                   {"a", DatumType::kInt64},
+                   {"v", DatumType::kDouble}}));
+  StatusOr<TPRelation*> s = db->CreateRelation(
+      "s", Schema({{"key", DatumType::kInt64}, {"b", DatumType::kInt64}}));
+  ASSERT_TRUE(r.ok() && s.ok());
+  Random rng(seed);
+  for (int64_t i = 0; i < n; ++i) {
+    const Datum key = i % 13 == 0 ? Datum::Null() : Datum((i / 3) % 60);
+    ASSERT_TRUE((*r)
+                    ->AppendBase({key, Datum(i), Datum((i % 9) / 2.0)},
+                                 Interval(i * 2, i * 2 + 1 + i % 7),
+                                 0.2 + 0.6 * rng.NextDouble())
+                    .ok());
+    ASSERT_TRUE((*s)
+                    ->AppendBase({key, Datum(i % 50)},
+                                 Interval(i * 2 + 1, i * 2 + 3 + i % 5),
+                                 0.2 + 0.6 * rng.NextDouble())
+                    .ok());
+  }
+}
+
+/// GROUP BY over each join kind's result, with and without a WHERE above
+/// the join, against the groups of the join's own tuples (run serially on
+/// the same database): the group's interval span, the probability of the
+/// OR of its lineages, ascending key order.
+void ExpectJoinAggregatesMatchReference(TPDatabase* db,
+                                        const SessionOptions& options) {
+  using enum CompareOp;
+  for (const std::string kind : {"INNER", "LEFT", "RIGHT", "FULL", "ANTI"}) {
+    const std::string from = " FROM r " + kind + " JOIN s ON key";
+    StatusOr<TPRelation> join = Session(db, Serial()).Query("SELECT *" + from);
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    ASSERT_GT(join->size(), 0u) << kind;
+    const Schema& schema = join->fact_schema();
+    const auto col = [&schema](const char* name) {
+      const int at = schema.IndexOf(name);
+      EXPECT_GE(at, 0) << name;
+      return at;
+    };
+    // The column an outer join pads with NULLs (r's for RIGHT, s's for
+    // LEFT / FULL); an anti join keeps only r's columns.
+    const std::string padded =
+        kind == "RIGHT" || kind == "ANTI" ? "a" : "b";
+    const std::string other = kind == "ANTI" ? "a" : "b";
+    const std::string select = "SELECT key, COUNT(*), COUNT(" + padded +
+                               "), SUM(v), MIN(a), MAX(" + other + ")";
+    const std::vector<RefAgg> aggs = {{AggFn::kCount, -1},
+                                      {AggFn::kCount, col(padded.c_str())},
+                                      {AggFn::kSum, col("v")},
+                                      {AggFn::kMin, col("a")},
+                                      {AggFn::kMax, col(other.c_str())}};
+    const std::vector<RefQuery> queries = {
+        {.sql = select + from + " GROUP BY key",
+         .group_by = {col("key")},
+         .aggs = aggs},
+        {.sql = select + from + " WHERE key >= 5 AND a < 400 GROUP BY key",
+         .where = AndP(Where(col("key"), kGe, I(5)),
+                       Where(col("a"), kLt, I(400))),
+         .group_by = {col("key")},
+         .aggs = aggs},
+    };
+    ExpectReference(db, options, *join, queries);
+  }
+}
+
+TEST(PipelineReferenceTest, GroupByOverJoinResultsMatchesReference) {
+  TPDatabase warm;
+  FillJoinInputs(&warm, 300, 19);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  const std::string path = TempPath("pipeline_reference_join.tpdb");
+  storage::SnapshotOptions snapshot_options;
+  snapshot_options.segment_rows = 128;
+  ASSERT_TRUE(warm.SaveSnapshot(path, snapshot_options).ok());
+  TPDatabase cold;
+  ASSERT_TRUE(cold.LoadSnapshot(path).ok());
+  ASSERT_NE((*cold.Get("r"))->cold_storage(), nullptr);
+  for (TPDatabase* db : {&warm, &cold}) {
+    SCOPED_TRACE(db == &warm ? "warm" : "cold");
+    for (const SessionOptions& options : {Serial(), Parallel()})
+      ExpectJoinAggregatesMatchReference(db, options);
+  }
+  std::remove(path.c_str());
 }
 
 // -- Error paths --------------------------------------------------------------

@@ -131,6 +131,8 @@ TEST_F(ServerEndToEndTest, WireResultsMatchInProcessElementWise) {
       "r UNION s",
       "r EXCEPT s",
       "SELECT * FROM r INNER JOIN s ON key WHERE key < 60 ORDER BY key",
+      "SELECT key, COUNT(*), COUNT(key_s), MIN(key_s) FROM r LEFT JOIN s "
+      "ON key WHERE key < 60 GROUP BY key",
   };
   for (const std::string& query : queries) {
     StatusOr<TPRelation> local = session.Query(query);
