@@ -43,8 +43,11 @@ struct Measurement {
   size_t result_rows = 0;
 };
 
+/// Best of `reps` timed runs, after one untimed warm-up run so that no
+/// row's first (1-worker) point pays for the cache warm-up.
 double TimeBestOf(int reps, const std::function<size_t()>& run,
                   size_t* rows) {
+  *rows = run();
   double best = 1e100;
   for (int i = 0; i < reps; ++i) {
     const Clock::time_point start = Clock::now();

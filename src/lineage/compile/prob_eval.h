@@ -64,7 +64,7 @@ struct ProbEvalOptions {
 
 /// Evaluates lineage probabilities through the ladder above. Not
 /// thread-safe: parallel operators create one evaluator per worker (the
-/// budget is per evaluator; exact results share the manager's sharded memo,
+/// budget is per evaluator; exact results share the manager's memo,
 /// and the relevant TSAN suites cover that mix).
 class ProbabilityEvaluator {
  public:

@@ -1,11 +1,32 @@
 #include "lineage/lineage.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 
 namespace tpdb {
 
-LineageManager::LineageManager() {
+namespace {
+
+/// Probability-memo value of a node whose probability is not known.
+constexpr double kUnknownProb = std::numeric_limits<double>::quiet_NaN();
+constexpr size_t kInitialIndexSlots = 1024;
+
+/// Hash of a node's key (kind, a, b), spread over all 64 bits so the
+/// hash-cons index can mask off its low bits (splitmix64 finalizer).
+uint64_t NodeHash(LineageKind kind, uint32_t a, uint32_t b) {
+  uint64_t z = (uint64_t{a} << 32 | b) ^
+               (static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
+
+LineageManager::LineageManager()
+    : intern_(kInitialIndexSlots, LineageRef::kNullId) {
   true_ = Intern(Node{LineageKind::kTrue, 0, 0});
   false_ = Intern(Node{LineageKind::kFalse, 0, 0});
 }
@@ -41,15 +62,15 @@ void LineageManager::SetVariableProbability(VarId v, double prob) {
   TPDB_CHECK_LT(v, num_vars_.load(std::memory_order_acquire));
   TPDB_CHECK(prob >= 0.0 && prob <= 1.0) << "probability out of range: " << prob;
   var_probs_[v].store(prob, std::memory_order_release);
-  // Bump the epoch *before* clearing the shards: an evaluation that started
-  // under the old epoch can no longer repopulate a shard after its clear
-  // (StoreProbability re-checks the epoch under the shard lock), and a store
-  // that slips in just before the clear is wiped by it.
-  prob_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  for (auto& shard : prob_shards_) {
-    std::unique_lock lock(shard.mu);
-    shard.map.clear();
-  }
+  // Bump the epoch *before* clearing the memo: an evaluation that started
+  // under the old epoch either sees the bump when StoreProbability re-reads
+  // the epoch after its CAS (and takes the value back), or its CAS came
+  // first and the reset below wipes it. Sequentially consistent on both
+  // sides, so the two cannot both miss each other.
+  prob_epoch_.fetch_add(1, std::memory_order_seq_cst);
+  const size_t n = num_nodes_.load(std::memory_order_acquire);
+  for (size_t i = 0; i < n; ++i)
+    probs_[i].store(kUnknownProb, std::memory_order_seq_cst);
 }
 
 const std::string& LineageManager::VariableName(VarId v) const {
@@ -68,18 +89,39 @@ StatusOr<VarId> LineageManager::FindVariable(const std::string& name) const {
 
 LineageRef LineageManager::Intern(Node n) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = intern_.find(n);
-  if (it != intern_.end()) return LineageRef{it->second};
+  const size_t mask = intern_.size() - 1;
+  size_t slot = NodeHash(n.kind, n.a, n.b) & mask;
+  for (uint32_t id; (id = intern_[slot]) != LineageRef::kNullId;
+       slot = (slot + 1) & mask) {
+    const Node& c = nodes_[id];
+    if (c.kind == n.kind && c.a == n.a && c.b == n.b) return LineageRef{id};
+  }
   const uint32_t id =
       static_cast<uint32_t>(num_nodes_.load(std::memory_order_relaxed));
   TPDB_CHECK_LT(id, LineageRef::kNullId) << "lineage arena exhausted";
   nodes_.Slot(id) = n;
-  // Force the matching var_sets_ chunk into existence while we hold the
-  // writer lock, so Variables() can read its slot without one.
+  // Force the matching var_sets_ and probs_ chunks into existence while we
+  // hold the writer lock, so Variables() and the memo can read their slots
+  // without one.
   var_sets_.Slot(id).store(nullptr, std::memory_order_relaxed);
-  intern_.emplace(n, id);
+  probs_.Slot(id).store(kUnknownProb, std::memory_order_relaxed);
+  intern_[slot] = id;
   num_nodes_.store(id + 1, std::memory_order_release);
+  if (2 * (size_t{id} + 1) > intern_.size()) GrowIndex();
   return LineageRef{id};
+}
+
+void LineageManager::GrowIndex() {
+  std::vector<uint32_t> grown(2 * intern_.size(), LineageRef::kNullId);
+  const size_t mask = grown.size() - 1;
+  const size_t n = num_nodes_.load(std::memory_order_relaxed);
+  for (uint32_t id = 0; id < n; ++id) {
+    const Node& entry = nodes_[id];
+    size_t slot = NodeHash(entry.kind, entry.a, entry.b) & mask;
+    while (grown[slot] != LineageRef::kNullId) slot = (slot + 1) & mask;
+    grown[slot] = id;
+  }
+  intern_ = std::move(grown);
 }
 
 LineageRef LineageManager::Var(VarId v) {
@@ -257,30 +299,36 @@ LineageRef LineageManager::RestrictRec(
 }
 
 bool LineageManager::LookupProbability(LineageRef r, double* out) const {
-  const ProbShard& shard = prob_shards_[r.id % kProbShards];
-  std::shared_lock lock(shard.mu);
-  auto it = shard.map.find(r.id);
-  if (it == shard.map.end()) return false;
-  *out = it->second;
+  TPDB_CHECK_LT(r.id, num_nodes_.load(std::memory_order_acquire));
+  const double p = probs_[r.id].load(std::memory_order_acquire);
+  if (std::isnan(p)) return false;
+  *out = p;
   return true;
 }
 
 bool LineageManager::StoreProbability(LineageRef r, double p,
                                       uint64_t epoch) {
-  ProbShard& shard = prob_shards_[r.id % kProbShards];
-  std::unique_lock lock(shard.mu);
+  TPDB_CHECK_LT(r.id, num_nodes_.load(std::memory_order_acquire));
   // A concurrent SetVariableProbability invalidated this computation: its
-  // result may mix old and new marginals, so it must not enter the cache.
+  // result may mix old and new marginals, so it must not enter the memo.
   if (epoch != prob_epoch_.load(std::memory_order_acquire)) return false;
-  return shard.map.emplace(r.id, p).second;
+  std::atomic<double>& slot = probs_[r.id];
+  double expected = kUnknownProb;
+  if (!slot.compare_exchange_strong(expected, p, std::memory_order_seq_cst))
+    return false;
+  if (epoch == prob_epoch_.load(std::memory_order_seq_cst)) return true;
+  // The epoch moved between the check and the CAS, possibly after the
+  // reset already passed this slot: take the value back unless someone
+  // replaced it meanwhile.
+  expected = p;
+  slot.compare_exchange_strong(expected, kUnknownProb,
+                               std::memory_order_seq_cst);
+  return false;
 }
 
 void LineageManager::EraseProbabilities(std::span<const uint32_t> ids) {
-  for (const uint32_t id : ids) {
-    ProbShard& shard = prob_shards_[id % kProbShards];
-    std::unique_lock lock(shard.mu);
-    shard.map.erase(id);
-  }
+  for (const uint32_t id : ids)
+    probs_[id].store(kUnknownProb, std::memory_order_release);
 }
 
 bool LineageManager::Equivalent(LineageRef a, LineageRef b) {

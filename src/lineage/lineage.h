@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -101,14 +100,16 @@ class ChunkedSlots {
 ///     once memoized) are lock-free: nodes live in an append-only chunked
 ///     arena published through an atomic size counter, so a published node
 ///     is immutable at a stable address.
-///   - Node *interning* and variable registration take the intern mutex —
-///     now a plain mutex held once per construction call, not re-entered
-///     per child probe.
+///   - Node *interning* and variable registration take the intern mutex,
+///     held once per construction call. The hash-cons index is a flat
+///     open-addressing table of node ids (linear probing, doubled at load
+///     1/2 by re-inserting ids from the arena), so interning allocates
+///     nothing per node and no node ever moves.
 ///   - Variable marginals are atomic slots (lock-free reads; writes only
 ///     from SetVariableProbability).
-///   - The probability memo is sharded behind per-shard shared_mutexes:
-///     concurrent evaluations take shared locks on lookup and short
-///     exclusive locks on store, and never contend with interning.
+///   - The probability memo is a dense array of atomic doubles indexed by
+///     node id, NaN meaning "not known": a lookup is one load and a store
+///     one compare-and-swap, and neither contends with interning.
 ///
 /// Note that concurrent interning makes node *ids* depend on thread
 /// interleaving; formulas stay structurally canonical either way, so
@@ -199,6 +200,8 @@ class LineageManager {
 
  private:
   friend class ProbabilityEngine;
+  /// Reaches the probability memo from the lineage tests.
+  friend class LineageManagerTestPeer;
 
   struct Node {
     LineageKind kind;
@@ -206,33 +209,21 @@ class LineageManager {
     uint32_t b;  // second child (kAnd/kOr only)
   };
 
-  /// Probability-memo access for ProbabilityEngine. The memo is
-  /// sharded by node id: lookups take a shared lock on one shard, stores a
-  /// brief exclusive one — evaluation never contends with interning.
-  /// Stores are epoch-guarded: a computation that started before a
-  /// SetVariableProbability ran must not repopulate the freshly cleared
-  /// cache with its stale result, so the engine snapshots
-  /// probability_epoch() up front and StoreProbability drops the value if
-  /// the epoch moved on. StoreProbability returns whether it inserted the
-  /// value, so an engine can take back exactly its own entries with
-  /// EraseProbabilities.
+  /// Probability-memo access for ProbabilityEngine. Lookups are one
+  /// acquire load of the node's slot; stores CAS the slot from NaN, so the
+  /// first value stored for a node wins. Stores are epoch-guarded: a
+  /// computation that started before a SetVariableProbability ran must not
+  /// repopulate the freshly cleared memo with its stale result, so the
+  /// engine snapshots probability_epoch() up front and StoreProbability
+  /// drops the value if the epoch moved on, before or right after its CAS.
+  /// StoreProbability returns whether it inserted the value, so an engine
+  /// can take back exactly its own entries with EraseProbabilities. (An
+  /// evaluation that starts while SetVariableProbability is still
+  /// resetting can read a slot the reset has not reached yet; marginals
+  /// are not meant to change under running queries.)
   bool LookupProbability(LineageRef r, double* out) const;
   bool StoreProbability(LineageRef r, double p, uint64_t epoch);
   void EraseProbabilities(std::span<const uint32_t> ids);
-
-  struct NodeKeyHash {
-    size_t operator()(const Node& n) const {
-      uint64_t h = static_cast<uint64_t>(n.kind);
-      h = h * 0x9e3779b97f4a7c15ull + n.a;
-      h = h * 0x9e3779b97f4a7c15ull + n.b;
-      return static_cast<size_t>(h ^ (h >> 32));
-    }
-  };
-  struct NodeKeyEq {
-    bool operator()(const Node& x, const Node& y) const {
-      return x.kind == y.kind && x.a == y.a && x.b == y.b;
-    }
-  };
 
   LineageRef Intern(Node n);
   const Node& node(LineageRef r) const {
@@ -242,6 +233,8 @@ class LineageManager {
   }
   LineageRef RestrictRec(LineageRef r, VarId v, bool value,
                          std::unordered_map<uint32_t, LineageRef>* memo);
+  /// Doubles the hash-cons index (caller holds mu_).
+  void GrowIndex();
 
   /// Guards interning (intern_ + arena growth) and variable registration
   /// (var_names_, var_by_name_). Plain mutex: public methods lock it at
@@ -251,7 +244,9 @@ class LineageManager {
   lineage_detail::ChunkedSlots<Node> nodes_;
   /// Published node count; release-stored after the slot write in Intern.
   std::atomic<size_t> num_nodes_{0};
-  std::unordered_map<Node, uint32_t, NodeKeyHash, NodeKeyEq> intern_;
+  /// Hash-cons index: power-of-two table of node ids, LineageRef::kNullId
+  /// marking a free slot, at most half full.
+  std::vector<uint32_t> intern_;
 
   lineage_detail::ChunkedSlots<std::atomic<double>> var_probs_;
   std::atomic<size_t> num_vars_{0};
@@ -265,13 +260,9 @@ class LineageManager {
   lineage_detail::ChunkedSlots<std::atomic<const std::vector<VarId>*>>
       var_sets_;
 
-  /// Sharded probability memo (see LookupProbability above).
-  static constexpr size_t kProbShards = 32;
-  struct ProbShard {
-    mutable std::shared_mutex mu;
-    std::unordered_map<uint32_t, double> map;
-  };
-  mutable std::array<ProbShard, kProbShards> prob_shards_;
+  /// Probability memo by node id, NaN when unknown (see LookupProbability
+  /// above). Intern creates each slot as NaN before publishing the node.
+  lineage_detail::ChunkedSlots<std::atomic<double>> probs_;
   /// Bumped by SetVariableProbability; guards stale memo stores.
   std::atomic<uint64_t> prob_epoch_{0};
 

@@ -12,20 +12,16 @@ namespace {
 using storage::ByteReader;
 using storage::ByteWriter;
 using storage::Crc32;
+using storage::Crc32Update;
 
 std::span<const uint8_t> AsBytes(std::string_view s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
 }
 
 /// CRC over the type byte followed by the payload — the frame trailer.
-/// (Crc32 has no incremental entry point, so the type byte is folded in
-/// front via one contiguous copy.)
 uint32_t FrameCrc(uint8_t type, std::string_view payload) {
-  std::string buf;
-  buf.reserve(payload.size() + 1);
-  buf.push_back(static_cast<char>(type));
-  buf.append(payload);
-  return Crc32(AsBytes(buf));
+  return Crc32Update(Crc32(std::span<const uint8_t>(&type, 1)),
+                     AsBytes(payload));
 }
 
 Status Truncated(const char* what) {

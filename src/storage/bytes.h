@@ -22,6 +22,11 @@ namespace tpdb::storage {
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`.
 uint32_t Crc32(std::span<const uint8_t> data);
 
+/// Extends the CRC-32 `crc` of some bytes `a` by `data`:
+/// Crc32Update(Crc32(a), b) == Crc32(a ++ b), and Crc32Update(0, b) ==
+/// Crc32(b).
+uint32_t Crc32Update(uint32_t crc, std::span<const uint8_t> data);
+
 /// Appends fixed-width scalars, length-prefixed strings and raw arrays to
 /// a growable buffer. Alignment padding is relative to the buffer start,
 /// so a blob written with one ByteWriter must be placed at an 8-aligned

@@ -137,7 +137,9 @@ Table TPRelation::ToTable() const {
   out.schema = std::move(schema);
   out.rows.reserve(tuples_.size());
   for (const TPTuple& t : tuples_) {
-    Row row = t.fact;
+    Row row;
+    row.reserve(t.fact.size() + 3);
+    row.assign(t.fact.begin(), t.fact.end());
     row.push_back(Datum(t.interval.start));
     row.push_back(Datum(t.interval.end));
     row.push_back(Datum(t.lineage));
